@@ -50,10 +50,13 @@ def embed_columns_df(
 def collect_embeddings(
     embeddings: DataFrame,
 ) -> tuple[list[str], np.ndarray]:
-    """Collect an embeddings frame into (ids, row-aligned float32 matrix)."""
-    rows = embeddings.collect()
-    ids = [r["col_id"] for r in rows]
+    """Collect an embeddings frame into (ids, row-aligned float32 matrix).
+
+    One Spark action; with Arrow enabled the rows cross as Arrow batches.
+    """
+    pdf = embeddings.toPandas()
+    ids = pdf["col_id"].tolist()
     if not ids:
         return [], np.zeros((0, 0), dtype=np.float32)
-    mat = np.array([r["embedding"] for r in rows], dtype=np.float32)
+    mat = np.array(pdf["embedding"].tolist(), dtype=np.float32)
     return ids, mat

@@ -9,20 +9,20 @@ small row samples instead of full scans. Two strategies:
   ``df.sample``; costs a full scan but is unbiased. Used by tests to
   show the embedding is robust to *where* the sample comes from.
 
-``full`` loads everything (the no-sampling baseline of Fig. 4/Table 2).
+``sample=None`` loads everything (the no-sampling baseline of Fig.
+4/Table 2). :func:`load_column` is the one way any system reads a
+column out of the warehouse.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
-
-STRATEGIES = ("head", "random", "full")
 
 
 def sample_column_df(
     df: DataFrame, *, sample: int | None, strategy: str = "head", seed: int = 0
 ) -> DataFrame:
     """Apply a sampling strategy to a single-column DataFrame."""
-    if sample is None or strategy == "full":
+    if sample is None:
         return df
     if strategy == "head":
         return df.limit(sample)
@@ -44,7 +44,11 @@ def load_column(
     strategy: str = "head",
     seed: int = 0,
 ) -> list:
-    """Pull one column's (possibly sampled) values out of the warehouse."""
+    """Pull one column's (possibly sampled) values out of the warehouse.
+
+    A Spark job, the analogue of a CDW scan; ``sample`` rows read with
+    ``head`` short-circuit it like ``LIMIT`` pushdown.
+    """
     db, table, col = col_id.split(".", 2)
     df = warehouse.table_df(f"{db}.{table}").select(col)
     df = sample_column_df(df, sample=sample, strategy=strategy, seed=seed)

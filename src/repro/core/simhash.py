@@ -15,17 +15,22 @@ CDW discovery has stringent completeness requirements (§1), so when the
 banded probe yields fewer than ``k`` candidates the index falls back to
 an exhaustive scan — recall is never silently truncated by the hash.
 
-Signature computation over the corpus is a distributed step
-(:func:`signatures_df`); the index itself is the usual in-memory
-structure built from the collected signatures (thousands of columns).
+The index is a small in-memory, per-warehouse structure (thousands of
+columns), built on the driver: the embeddings are collected once, signed
+with one matmul against the hyperplanes and bucketed in one pass. Only
+profiling and embedding are distributed. :func:`signatures_df` keeps the
+distributed form of the signing step as a reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+
+from repro.core.embedding import collect_embeddings
 
 
 def bit_agreement_probability(cos_sim: float) -> float:
@@ -58,29 +63,23 @@ def hyperplanes(dim: int, n_bits: int, seed: int) -> np.ndarray:
     )
 
 
-def signature(vec: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """Boolean signature of one vector."""
-    return (planes @ vec) >= 0
+def signature(vecs: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """Boolean signature of one vector, or one row per row of a matrix."""
+    return (vecs @ planes.T) >= 0
 
 
 def signatures_df(embeddings: DataFrame, planes: np.ndarray) -> DataFrame:
-    """``(col_id, embedding, sig)`` — distributed signature computation.
+    """``(col_id, embedding, sig)`` — the signing step run distributed.
 
-    ``sig`` is packed as an array of 0/1 bytes for Arrow friendliness.
+    The reference for the driver-side build: each Arrow batch is signed
+    with one :func:`signature` call. ``sig`` holds 0/1 bytes.
     """
-    from typing import Iterator
-
-    planes_b = planes  # closed over; small (n_bits × dim)
 
     def _sig(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
-            sigs = []
-            for emb in pdf["embedding"]:
-                v = np.asarray(emb, dtype=np.float32)
-                sigs.append(((planes_b @ v) >= 0).astype(np.int8).tolist())
-            out = pdf.copy()
-            out["sig"] = sigs
-            yield out
+            mat = np.array(pdf["embedding"].tolist(), dtype=np.float32)
+            sigs = signature(mat.reshape(len(pdf), planes.shape[1]), planes)
+            yield pdf.assign(sig=list(sigs.astype(np.int8)))
 
     return embeddings.mapInPandas(
         _sig, schema="col_id string, embedding array<double>, sig array<tinyint>"
@@ -94,7 +93,11 @@ class SearchResult:
 
 
 class SimHashIndex:
-    """In-memory banded SimHash index over column embeddings."""
+    """In-memory banded SimHash index over column embeddings.
+
+    ``matrix`` holds the L2-normalized vectors (zero rows stay zero), so
+    re-ranking is one matrix-vector product.
+    """
 
     def __init__(
         self,
@@ -114,33 +117,25 @@ class SimHashIndex:
         self.ids: list[str] = []
         self.matrix = np.zeros((0, dim), dtype=np.float32)
         self._buckets: dict[tuple[int, bytes], list[int]] = {}
-        self._sigs: np.ndarray | None = None
 
     # -- build -----------------------------------------------------------
-    def _band_keys(self, sig: np.ndarray) -> list[tuple[int, bytes]]:
-        r = self.rows_per_band
-        return [
-            (bi, np.packbits(sig[bi * r : (bi + 1) * r]).tobytes())
-            for bi in range(self.n_bands)
-        ]
+    def _band_keys(self, sigs: np.ndarray) -> np.ndarray:
+        """Packed band keys, ``(..., n_bands, bytes per band)``, of one
+        signature or a matrix of them."""
+        shape = sigs.shape[:-1] + (self.n_bands, self.rows_per_band)
+        return np.packbits(sigs.reshape(shape), axis=-1)
 
     def add_batch(self, ids: list[str], mat: np.ndarray, sigs: np.ndarray) -> None:
-        """Append pre-signed vectors (from the distributed signature step)."""
-        base = len(self.ids)
-        self.ids.extend(ids)
-        self.matrix = (
-            mat.astype(np.float32)
-            if base == 0
-            else np.vstack([self.matrix, mat.astype(np.float32)])
-        )
-        self._sigs = (
-            sigs.astype(bool)
-            if self._sigs is None
-            else np.vstack([self._sigs, sigs.astype(bool)])
-        )
-        for i, sig in enumerate(sigs):
-            for key in self._band_keys(np.asarray(sig, dtype=bool)):
-                self._buckets.setdefault(key, []).append(base + i)
+        """Fill an empty index with pre-signed vectors."""
+        if self.ids:
+            raise ValueError("add_batch fills an empty index")
+        mat = np.asarray(mat, dtype=np.float32)
+        norms = np.linalg.norm(mat, axis=1, keepdims=True)
+        self.ids = list(ids)
+        self.matrix = np.divide(mat, norms, out=np.zeros_like(mat), where=norms > 0)
+        for i, keys in enumerate(self._band_keys(np.asarray(sigs, dtype=bool))):
+            for bi, key in enumerate(keys):
+                self._buckets.setdefault((bi, key.tobytes()), []).append(i)
 
     @classmethod
     def build_from_df(
@@ -152,22 +147,20 @@ class SimHashIndex:
         threshold: float = 0.7,
         seed: int = 99,
     ) -> "SimHashIndex":
-        """Distributed signatures → collected in-memory index."""
+        """Collect the ``(col_id, embedding)`` frame (its one Spark
+        action), then sign and bucket every vector on the driver."""
         idx = cls(dim=dim, n_bits=n_bits, threshold=threshold, seed=seed)
-        rows = signatures_df(embeddings, idx.planes).collect()
-        if rows:
-            ids = [r["col_id"] for r in rows]
-            mat = np.array([r["embedding"] for r in rows], dtype=np.float32)
-            sigs = np.array([r["sig"] for r in rows], dtype=bool)
-            idx.add_batch(ids, mat, sigs)
+        ids, mat = collect_embeddings(embeddings)
+        if ids:
+            idx.add_batch(ids, mat, signature(mat, idx.planes))
         return idx
 
     # -- search ----------------------------------------------------------
     def candidates(self, vec: np.ndarray) -> list[int]:
-        sig = signature(vec.astype(np.float32), self.planes)
+        keys = self._band_keys(signature(vec.astype(np.float32), self.planes))
         seen: set[int] = set()
-        for key in self._band_keys(sig):
-            seen.update(self._buckets.get(key, ()))
+        for bi, key in enumerate(keys):
+            seen.update(self._buckets.get((bi, key.tobytes()), ()))
         return sorted(seen)
 
     def query(
@@ -190,10 +183,7 @@ class SimHashIndex:
         n_excluded = len(exclude or ())
         if len(cand) < k + n_excluded:
             cand = list(range(len(self.ids)))
-        sub = self.matrix[cand]
-        norms = np.linalg.norm(sub, axis=1)
-        norms[norms == 0] = 1.0
-        scores = (sub @ v) / norms
+        scores = self.matrix[cand] @ v
         order = np.argsort(-scores)
         out: list[SearchResult] = []
         for oi in order:

@@ -1,8 +1,8 @@
 """The WarpGate system: indexing pipeline + search pipeline (§3).
 
 Indexing: warehouse columns → (sampled) long cells frame → distributed
-column embedding → distributed SimHash signatures → in-memory banded LSH
-index.
+column embedding → embeddings collected once to the driver → SimHash
+signatures (one matmul) → in-memory banded LSH index.
 
 Search: the query column is pulled out of the warehouse (``load``
 phase), then handed to the index, which embeds it and probes the LSH
@@ -63,10 +63,10 @@ class WarpGate:
         """Run the indexing pipeline over every column of the warehouse."""
         t0 = time.perf_counter()
         cells = warehouse.cells_long_df(sample=self.config.sample)
-        emb_df = embed_columns_df(warehouse.spark, cells, self._as_embedder())
+        emb_df = embed_columns_df(warehouse.spark, cells, self.model)
         self.index = SimHashIndex.build_from_df(
             emb_df,
-            dim=self._dim(),
+            dim=int(self.model.dim),
             n_bits=self.config.n_bits,
             threshold=self.config.threshold,
             seed=self.config.seed,
@@ -74,18 +74,6 @@ class WarpGate:
         self._warehouse = warehouse
         self.index_build_s = time.perf_counter() - t0
         return self.index
-
-    def _dim(self) -> int:
-        return int(self.model.dim)
-
-    def _as_embedder(self) -> EmbeddingModel:
-        """The model used for *corpus* embedding.
-
-        BertLike models embed columns through their own ``embed_values``
-        too, but the distributed pipeline needs a picklable object — both
-        model classes satisfy that, so pass through unchanged.
-        """
-        return self.model  # type: ignore[return-value]
 
     def query(
         self, col_id: str, *, k: int | None = None

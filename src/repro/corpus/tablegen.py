@@ -5,9 +5,9 @@ A corpus is described declaratively (``CorpusSpec`` → ``TableSpec`` →
 materialized corpus is exposed as a :class:`Warehouse`: a set of Spark
 DataFrames registered per table — the stand-in for a cloud data
 warehouse. All discovery systems read columns *through* the warehouse
-(``column_values``), so "data loading" cost is paid the same way the
-paper pays it (pulling a column out of the CDW), and row sampling
-short-circuits that cost exactly as §3.1.3 describes.
+(:func:`repro.core.sampling.load_column`), so "data loading" cost is
+paid the same way the paper pays it (pulling a column out of the CDW),
+and row sampling short-circuits that cost exactly as §3.1.3 describes.
 
 Column kinds:
 
@@ -205,11 +205,9 @@ def materialize_table(
 class Warehouse:
     """The materialized corpus, exposed as Spark DataFrames per table.
 
-    ``column_values`` is the single data-access path used by every
-    discovery system; it pulls one column out of the warehouse (a Spark
-    job — the analogue of a CDW scan) with optional row sampling via
-    ``limit`` (which short-circuits the scan, like ``LIMIT`` pushdown in
-    a CDW).
+    Systems read one column with :func:`repro.core.sampling.load_column`
+    (through :meth:`table_df`) and the whole corpus with
+    :meth:`cells_long_df`.
     """
 
     def __init__(
@@ -235,18 +233,6 @@ class Warehouse:
     def table_pdf(self, table_id: str) -> pd.DataFrame:
         """Driver-side frame — for tests/oracle only, not system paths."""
         return self._pdfs[table_id]
-
-    def column_values(self, col_id: str, *, sample: int | None = None) -> list:
-        """Pull one column's values out of the warehouse via Spark.
-
-        ``sample=None`` scans the full column; otherwise ``limit(sample)``
-        rows are read (the paper's row-sampling knob).
-        """
-        db, table, col = col_id.split(".", 2)
-        df = self._dfs[f"{db}.{table}"].select(col)
-        if sample is not None:
-            df = df.limit(sample)
-        return [r[0] for r in df.collect()]
 
     def cells_long_df(
         self,

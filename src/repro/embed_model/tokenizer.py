@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable
 
 _PUNCT_RE = re.compile(r"[^0-9a-z]+")
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)$")
@@ -58,14 +57,6 @@ def tokenize(value) -> list[str]:
             continue
         nb = numeric_bin(raw)
         out.append(nb if nb is not None else raw)
-    return out
-
-
-def tokenize_column(values: Iterable) -> list[str]:
-    """Flat token list for a whole column (order-preserving, with dups)."""
-    out: list[str] = []
-    for v in values:
-        out.extend(tokenize(v))
     return out
 
 

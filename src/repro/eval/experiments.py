@@ -13,7 +13,6 @@ linear-growth claim rests on.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import pandas as pd
@@ -21,6 +20,7 @@ from pyspark.sql import SparkSession
 
 from repro.baselines.aurum import Aurum
 from repro.baselines.d3l import D3L
+from repro.core.sampling import load_column
 from repro.core.warpgate import WarpGate, WarpGateConfig
 from repro.corpus.nextiajd import build_testbed
 from repro.corpus.sigma import build_sigma_spec, warehouse_shape_stats
@@ -158,7 +158,7 @@ def experiment_sample_efficiency(
         # Warm the query path once per dataset so Spark's first-job cost
         # doesn't land on whichever sample size happens to run first.
         if spec.queries:
-            wh.column_values(spec.queries[0].column, sample=10)
+            load_column(wh, spec.queries[0].column, sample=10)
         for sample in sample_sizes:
             if sample is None and full_systems and ds in full_systems:
                 wg = full_systems[ds]
@@ -207,10 +207,3 @@ def experiment_sigma_shape(ctx: ExperimentContext) -> dict[str, float]:
         rows_scale=ctx.rows_scale, size_scale=ctx.size_scale
     )
     return warehouse_shape_stats(spec)
-
-
-def timed(fn, *args, **kwargs):
-    """Run ``fn`` returning (result, elapsed seconds)."""
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0

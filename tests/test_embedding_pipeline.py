@@ -7,6 +7,7 @@ import pytest
 import pyspark.sql.functions as F
 
 from repro.core.embedding import collect_embeddings, embed_columns_df
+from repro.core.sampling import load_column
 from repro.oracle import assert_equivalent
 
 
@@ -91,6 +92,6 @@ def test_sampling_stability_of_embeddings(spark, xs_corpus, model):
     spec, wh = xs_corpus
     ent = [c for c in wh.entity_column_ids()[:5]]
     for cid in ent:
-        full = model.embed_values(wh.column_values(cid))
-        samp = model.embed_values(wh.column_values(cid, sample=50))
+        full = model.embed_values(load_column(wh, cid))
+        samp = model.embed_values(load_column(wh, cid, sample=50))
         assert cosine(full, samp) > 0.9, cid

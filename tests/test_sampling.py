@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.sampling import STRATEGIES, load_column, sample_column_df
+from repro.core.sampling import load_column, sample_column_df
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +17,7 @@ def col_df(spark, xs_corpus):
 def test_full_returns_all(col_df):
     df, _, _ = col_df
     assert sample_column_df(df, sample=None).count() == df.count()
-    assert sample_column_df(df, sample=5, strategy="full").count() == df.count()
+    assert sample_column_df(df, sample=None, strategy="random").count() == df.count()
 
 
 def test_head_limits(col_df):
@@ -41,8 +41,9 @@ def test_random_small_table_returns_all(spark):
 
 def test_unknown_strategy(col_df):
     df, _, _ = col_df
-    with pytest.raises(ValueError):
-        sample_column_df(df, sample=5, strategy="wat")
+    for strategy in ("wat", "full"):  # sample=None is the full scan
+        with pytest.raises(ValueError):
+            sample_column_df(df, sample=5, strategy=strategy)
 
 
 def test_load_column_sampled(col_df):
@@ -54,6 +55,3 @@ def test_load_column_full(col_df):
     df, wh, cid = col_df
     assert len(load_column(wh, cid)) == df.count()
 
-
-def test_strategies_constant():
-    assert set(STRATEGIES) == {"head", "random", "full"}

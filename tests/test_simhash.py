@@ -165,17 +165,92 @@ def test_signatures_df_matches_driver(spark):
         assert np.array_equal(got[f"c{i}"], signature(mat[i], planes))
 
 
+def _emb_frame(spark, mat):
+    pdf = pd.DataFrame(
+        {
+            "col_id": [f"c{i}" for i in range(len(mat))],
+            "embedding": [v.astype(float).tolist() for v in mat],
+        }
+    )
+    return spark.createDataFrame(pdf, "col_id string, embedding array<double>")
+
+
 def test_build_from_df(spark):
     g = np.random.default_rng(6)
     mat = g.standard_normal((30, 16)).astype(np.float32)
     mat /= np.linalg.norm(mat, axis=1, keepdims=True)
-    pdf = pd.DataFrame(
-        {
-            "col_id": [f"c{i}" for i in range(30)],
-            "embedding": [v.astype(float).tolist() for v in mat],
-        }
-    )
-    idx = SimHashIndex.build_from_df(spark.createDataFrame(pdf), dim=16)
+    idx = SimHashIndex.build_from_df(_emb_frame(spark, mat), dim=16)
     assert len(idx.ids) == 30
     got = idx.query(mat[3], 1)
     assert got[0].col_id == "c3"
+
+
+def test_build_from_df_matches_signatures_df_route(spark):
+    """The driver-side build and the distributed signing route (collect
+    ``signatures_df``, then ``add_batch``) give the same ids, matrix and
+    buckets, duplicate vectors included."""
+    g = np.random.default_rng(12)
+    mat = 3.0 * g.standard_normal((40, 16)).astype(np.float32)
+    mat[20:30] = mat[:10]  # duplicates share every bucket
+    df = _emb_frame(spark, mat)
+    built = SimHashIndex.build_from_df(df, dim=16, n_bits=64, seed=2)
+    ref = SimHashIndex(dim=16, n_bits=64, seed=2)
+    rows = signatures_df(df, ref.planes).collect()
+    ref.add_batch(
+        [r["col_id"] for r in rows],
+        np.array([r["embedding"] for r in rows], dtype=np.float32),
+        np.array([r["sig"] for r in rows], dtype=bool),
+    )
+    assert built.ids == ref.ids
+    assert built.matrix.dtype == np.float32
+    assert np.array_equal(built.matrix, ref.matrix)
+    assert built._buckets == ref._buckets
+    # Reference: band keys packed one band slice at a time.
+    r = ref.rows_per_band
+    expected: dict = {}
+    for i, row in enumerate(rows):
+        sig = np.array(row["sig"], dtype=bool)
+        for bi in range(ref.n_bands):
+            key = (bi, np.packbits(sig[bi * r : (bi + 1) * r]).tobytes())
+            expected.setdefault(key, []).append(i)
+    assert built._buckets == expected
+    for members in built._buckets.values():
+        assert all((i in members) == (i + 20 in members) for i in range(10))
+
+
+def test_build_from_df_runs_one_spark_job(spark):
+    mat = np.random.default_rng(13).standard_normal((25, 16)).astype(np.float32)
+    df = _emb_frame(spark, mat)
+    sc = spark.sparkContext
+    sc.setJobGroup("simhash-build", "simhash-build")
+    try:
+        SimHashIndex.build_from_df(df, dim=16)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert len(sc.statusTracker().getJobIdsForGroup("simhash-build")) == 1
+
+
+def test_build_from_empty_df(spark):
+    empty = spark.createDataFrame([], "col_id string, embedding array<double>")
+    idx = SimHashIndex.build_from_df(empty, dim=16)
+    assert idx.ids == [] and idx.matrix.shape == (0, 16)
+    assert idx.query(np.ones(16), 5) == []
+
+
+def test_add_batch_fills_empty_index_only(random_index):
+    idx, mat = random_index
+    with pytest.raises(ValueError):
+        idx.add_batch(["x"], mat[:1], signature(mat[:1], idx.planes))
+
+
+def test_zero_vector_in_index_scores_zero():
+    g = np.random.default_rng(14)
+    mat = g.standard_normal((6, 8)).astype(np.float32)
+    mat[2] = 0.0
+    idx = SimHashIndex(dim=8, n_bits=32)
+    idx.add_batch([f"c{i}" for i in range(6)], mat, signature(mat, idx.planes))
+    assert not np.isnan(idx.matrix).any()
+    assert np.allclose(np.linalg.norm(idx.matrix, axis=1), [1, 1, 0, 1, 1, 1])
+    got = {r.col_id: r.score for r in idx.query(g.standard_normal(8), 6)}
+    assert got["c2"] == 0.0
+    assert not any(np.isnan(list(got.values())))

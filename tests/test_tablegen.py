@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 import pyspark.sql.functions as F
 
+from repro.core.sampling import load_column
 from repro.corpus.domains import default_universe
 from repro.corpus.tablegen import (
     ColumnSpec,
@@ -155,12 +156,12 @@ def test_warehouse_tables_registered(small_wh):
 
 
 def test_column_values_full(small_wh):
-    vals = small_wh.column_values("dbA.t0.ent")
-    assert len(vals) == 120
+    vals = load_column(small_wh, "dbA.t0.ent")
+    assert vals == small_wh.table_pdf("dbA.t0")["ent"].tolist()
 
 
 def test_column_values_sampled(small_wh):
-    vals = small_wh.column_values("dbA.t0.ent", sample=10)
+    vals = load_column(small_wh, "dbA.t0.ent", sample=10)
     assert len(vals) == 10
 
 

@@ -8,7 +8,6 @@ from repro.embed_model.tokenizer import (
     normalize,
     numeric_bin,
     tokenize,
-    tokenize_column,
 )
 
 
@@ -93,14 +92,6 @@ def test_normalize_prefixed_format_is_suffix():
 )
 def test_normalize_distinguishes(a, b):
     assert normalize(a) != normalize(b)
-
-
-def test_tokenize_column_flattens_in_order():
-    assert tokenize_column(["a b", None, "c"]) == ["a", "b", "c"]
-
-
-def test_tokenize_column_empty():
-    assert tokenize_column([]) == []
 
 
 def test_nan_string_dropped():
