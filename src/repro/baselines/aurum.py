@@ -51,6 +51,9 @@ class Aurum:
         )
         self.graph = {}
         if ids:
+            # col_id order, so the stable edge sort breaks ties by col_id.
+            order = np.argsort(ids)
+            ids, sigs = [ids[i] for i in order], sigs[order]
             jac = pairwise_jaccard(sigs)
             np.fill_diagonal(jac, 0.0)
             for i, cid in enumerate(ids):

@@ -36,14 +36,7 @@ from repro.core.simhash import SearchResult
 from repro.core.warpgate import QueryTiming
 from repro.corpus.tablegen import Warehouse
 from repro.embed_model.model import EmbeddingModel, cosine
-
-
-def qgrams(name: str, q: int = 3) -> set[str]:
-    """Padded character q-grams of a (lowercased) column name."""
-    s = f"^{name.lower()}$"
-    if len(s) <= q:
-        return {s}
-    return {s[i : i + q] for i in range(len(s) - q + 1)}
+from repro.embed_model.tokenizer import char_ngrams
 
 
 def value_pattern(value) -> str:
@@ -103,7 +96,7 @@ def build_profile(
     clean = [v for v in values if v is not None]
     return ColumnProfile(
         col_id=col_id,
-        name_grams=qgrams(name),
+        name_grams=set(char_ngrams(name.lower())),
         minhash=minhash_signature(clean, a, b),
         embedding=model.embed_values(clean),
         patterns={value_pattern(v) for v in clean[:2000]},
@@ -199,7 +192,8 @@ class D3L:
     def build_index(self, warehouse: Warehouse) -> None:
         """Distributed full-pass profiling of every corpus column."""
         t0 = time.perf_counter()
-        pdf = self._profiles_df(warehouse.cells_long_df())
+        # col_id order, so the stable sort in query breaks ties by col_id.
+        pdf = self._profiles_df(warehouse.cells_long_df()).sort_values("col_id")
         self.profiles = {p.col_id: p for p in profiles_df_to_list(pdf)}
         self._warehouse = warehouse
         self.index_build_s = time.perf_counter() - t0

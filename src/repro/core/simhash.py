@@ -17,9 +17,11 @@ an exhaustive scan — recall is never silently truncated by the hash.
 
 The index is a small in-memory, per-warehouse structure (thousands of
 columns), built on the driver: the embeddings are collected once, signed
-with one matmul against the hyperplanes and bucketed in one pass. Only
-profiling and embedding are distributed. :func:`signatures_df` keeps the
-distributed form of the signing step as a reference.
+with one matmul against the hyperplanes and stored as arrays in ``col_id``
+order, so equal scores come back in ``col_id`` order however Spark
+partitioned the build. Only profiling and embedding are distributed.
+:func:`signatures_df` keeps the signing step's distributed form as a
+reference.
 """
 from __future__ import annotations
 
@@ -95,8 +97,9 @@ class SearchResult:
 class SimHashIndex:
     """In-memory banded SimHash index over column embeddings.
 
-    ``matrix`` holds the L2-normalized vectors (zero rows stay zero), so
-    re-ranking is one matrix-vector product.
+    Rows are in ``col_id`` order. ``matrix`` holds the L2-normalized
+    vectors (zero rows stay zero), so re-ranking is one matrix-vector
+    product. ``keys[band, row]`` is a row's packed key in one band.
     """
 
     def __init__(
@@ -116,7 +119,7 @@ class SimHashIndex:
         )
         self.ids: list[str] = []
         self.matrix = np.zeros((0, dim), dtype=np.float32)
-        self._buckets: dict[tuple[int, bytes], list[int]] = {}
+        self.keys = self._band_keys(np.zeros((0, n_bits), dtype=bool)).swapaxes(0, 1)
 
     # -- build -----------------------------------------------------------
     def _band_keys(self, sigs: np.ndarray) -> np.ndarray:
@@ -129,13 +132,15 @@ class SimHashIndex:
         """Fill an empty index with pre-signed vectors."""
         if self.ids:
             raise ValueError("add_batch fills an empty index")
+        order = np.argsort(np.asarray(ids, dtype=str), kind="stable")
+        self.ids = [ids[i] for i in order]
         mat = np.asarray(mat, dtype=np.float32)
-        norms = np.linalg.norm(mat, axis=1, keepdims=True)
-        self.ids = list(ids)
-        self.matrix = np.divide(mat, norms, out=np.zeros_like(mat), where=norms > 0)
-        for i, keys in enumerate(self._band_keys(np.asarray(sigs, dtype=bool))):
-            for bi, key in enumerate(keys):
-                self._buckets.setdefault((bi, key.tobytes()), []).append(i)
+        # The reordered copy is the only new full-size array.
+        norms = np.linalg.norm(mat, axis=1, keepdims=True)[order]
+        m = mat[order]
+        self.matrix = np.divide(m, norms, out=m, where=norms > 0)
+        keys = self._band_keys(np.asarray(sigs, dtype=bool))[order]
+        self.keys = np.ascontiguousarray(keys.swapaxes(0, 1))
 
     @classmethod
     def build_from_df(
@@ -148,7 +153,7 @@ class SimHashIndex:
         seed: int = 99,
     ) -> "SimHashIndex":
         """Collect the ``(col_id, embedding)`` frame (its one Spark
-        action), then sign and bucket every vector on the driver."""
+        action), then sign and key every vector on the driver."""
         idx = cls(dim=dim, n_bits=n_bits, threshold=threshold, seed=seed)
         ids, mat = collect_embeddings(embeddings)
         if ids:
@@ -156,12 +161,10 @@ class SimHashIndex:
         return idx
 
     # -- search ----------------------------------------------------------
-    def candidates(self, vec: np.ndarray) -> list[int]:
-        keys = self._band_keys(signature(vec.astype(np.float32), self.planes))
-        seen: set[int] = set()
-        for bi, key in enumerate(keys):
-            seen.update(self._buckets.get((bi, key.tobytes()), ()))
-        return sorted(seen)
+    def candidates(self, vec: np.ndarray) -> np.ndarray:
+        """Ascending rows that share at least one band key with ``vec``."""
+        q = self._band_keys(signature(vec.astype(np.float32), self.planes))
+        return np.flatnonzero((self.keys == q[:, None]).all(-1).any(0))
 
     def query(
         self,
@@ -171,7 +174,8 @@ class SimHashIndex:
         exclude: set[str] | None = None,
     ) -> list[SearchResult]:
         """Top-k by exact cosine over the banded candidate sub-universe,
-        falling back to a full scan when the probe under-delivers."""
+        falling back to a full scan when the probe under-delivers. Equal
+        scores come back in ``col_id`` order."""
         if len(self.ids) == 0:
             return []
         v = vec.astype(np.float32)
@@ -182,15 +186,15 @@ class SimHashIndex:
         cand = self.candidates(v)
         n_excluded = len(exclude or ())
         if len(cand) < k + n_excluded:
-            cand = list(range(len(self.ids)))
+            cand = np.arange(len(self.ids))
         scores = self.matrix[cand] @ v
-        order = np.argsort(-scores)
+        order = np.argsort(-scores, kind="stable")
         out: list[SearchResult] = []
         for oi in order:
-            cid = self.ids[cand[int(oi)]]
+            cid = self.ids[cand[oi]]
             if exclude and cid in exclude:
                 continue
-            out.append(SearchResult(col_id=cid, score=float(scores[int(oi)])))
+            out.append(SearchResult(col_id=cid, score=float(scores[oi])))
             if len(out) >= k:
                 break
         return out

@@ -24,6 +24,7 @@ from repro.corpus.tablegen import (
     QuerySpec,
     TableSpec,
     Warehouse,
+    fill_distractors,
 )
 
 N_TABLES = 98
@@ -149,24 +150,8 @@ def build_sigma_spec(
         add_table(db, name, idx, cols)
         idx += 1
 
-    # Distractors to reach the column budget.
-    keys = list(table_cols)
     kinds = ["numeric", "date", "id", "text", "numeric"]
-    n_assigned = sum(len(v) for v in table_cols.values())
-    ci = 0
-    while n_assigned < n_cols_target:
-        key = keys[ci % len(keys)]
-        kind = kinds[ci % len(kinds)]
-        dom = universe.domains[int(g.integers(0, len(universe.domains)))]
-        table_cols[key].append(
-            ColumnSpec(
-                name=f"{kind}_d{ci}",
-                kind=kind,
-                domain=dom.name if kind == "text" else None,
-            )
-        )
-        n_assigned += 1
-        ci += 1
+    fill_distractors(table_cols, n_cols_target, kinds, universe, g)
 
     tables = [
         TableSpec(db=db, name=t, n_rows=table_rows[(db, t)], columns=tuple(cols))

@@ -29,6 +29,7 @@ from repro.corpus.tablegen import (
     QuerySpec,
     TableSpec,
     Warehouse,
+    fill_distractors,
 )
 
 _PK_FMTS = ["identity", "snake", "upper"]
@@ -161,24 +162,8 @@ def build_spider_spec(
                 fk_cols.append(fk_id)
                 pk_of_fk[fk_id] = pk_ids
 
-    # Distractors to reach the column budget.
-    all_keys = list(table_cols)
     kinds = ["numeric", "date", "id", "text"]
-    n_assigned = sum(len(v) for v in table_cols.values())
-    ci = 0
-    while n_assigned < n_cols_target:
-        key = all_keys[ci % len(all_keys)]
-        kind = kinds[ci % len(kinds)]
-        dom = universe.domains[int(g.integers(0, len(universe.domains)))]
-        table_cols[key].append(
-            ColumnSpec(
-                name=f"{kind}_d{ci}",
-                kind=kind,
-                domain=dom.name if kind == "text" else None,
-            )
-        )
-        n_assigned += 1
-        ci += 1
+    fill_distractors(table_cols, n_cols_target, kinds, universe, g)
 
     tables = [
         TableSpec(db=db, name=t, n_rows=table_rows[(db, t)], columns=tuple(cols))

@@ -113,6 +113,29 @@ class CorpusSpec:
         raise KeyError(col_id)
 
 
+def fill_distractors(
+    table_cols: dict[tuple[str, str], list[ColumnSpec]],
+    n_cols_target: int,
+    kinds: list[str],
+    universe: DomainUniverse,
+    g: np.random.Generator,
+) -> None:
+    """Append distractor columns of cycling ``kinds``, round-robin over
+    the tables, until the corpus holds ``n_cols_target`` columns."""
+    keys = list(table_cols)
+    n_assigned = sum(len(v) for v in table_cols.values())
+    for ci in range(n_cols_target - n_assigned):
+        kind = kinds[ci % len(kinds)]
+        dom = universe.domains[int(g.integers(0, len(universe.domains)))]
+        table_cols[keys[ci % len(keys)]].append(
+            ColumnSpec(
+                name=f"{kind}_d{ci}",
+                kind=kind,
+                domain=dom.name if kind == "text" else None,
+            )
+        )
+
+
 def _col_seed(corpus_seed: int, table_id: str, col: str) -> int:
     import zlib
 

@@ -15,6 +15,7 @@ from repro.corpus.domains import default_universe
 from repro.corpus.nextiajd import build_testbed
 from repro.corpus.sigma import build_sigma
 from repro.corpus.spider import build_spider
+from repro.corpus.tablegen import ColumnSpec, CorpusSpec, TableSpec, Warehouse
 from repro.embed_model.pretrained import pretrained_model
 
 
@@ -70,3 +71,13 @@ def d3l_xs(model, xs_corpus):
     d = D3L(model=model)
     d.build_index(wh)
     return d
+
+
+@pytest.fixture(scope="session")
+def tied_warehouse(spark, universe):
+    """Tables ``db.t0`` … ``db.t5`` whose one column ``c`` repeats one
+    value, so every pair of columns scores exactly the same."""
+    c = ColumnSpec("c", "entity", domain=universe.domains[0].name, pool_hi=0)
+    tables = [TableSpec("db", f"t{i}", 8, (c,)) for i in range(6)]
+    spec = CorpusSpec(name="tied", tables=tables, queries=[], seed=0)
+    return Warehouse(spark, spec, universe)

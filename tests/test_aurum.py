@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines import aurum
+
 
 def test_graph_built_over_columns(aurum_xs, xs_corpus):
     spec, _ = xs_corpus
@@ -85,3 +87,19 @@ def test_misses_cross_format_pairs(aurum_xs, xs_corpus):
 
 def test_index_build_time_recorded(aurum_xs):
     assert aurum_xs.index_build_s > 0
+
+
+def test_tied_neighbors_in_col_id_order(tied_warehouse, monkeypatch):
+    """Equal edge weights come back in col_id order, even when the
+    signatures are collected in reverse col_id order."""
+    collect = aurum.collect_signatures
+
+    def reversed_collect(df):
+        return [x[::-1] for x in collect(df.sort("col_id"))]
+
+    monkeypatch.setattr(aurum, "collect_signatures", reversed_collect)
+    a = aurum.Aurum()
+    a.build_index(tied_warehouse)
+    results, _ = a.query("db.t2.c", k=10)
+    assert [r.col_id for r in results] == [f"db.t{i}.c" for i in (0, 1, 3, 4, 5)]
+    assert {r.score for r in results} == {1.0}

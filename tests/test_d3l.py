@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from repro.baselines.d3l import (
+    D3L,
     ColumnProfile,
     build_profile,
     numeric_profile,
     profile_similarity,
-    qgrams,
     value_pattern,
 )
 from repro.baselines.minhash import permutation_params
+from repro.embed_model.tokenizer import char_ngrams
 
 
 @pytest.fixture(scope="module")
@@ -20,19 +21,17 @@ def perms():
     return permutation_params(128, seed=7)
 
 
-@pytest.mark.parametrize(
-    "name,expected_sub",
-    [("company", "^co"), ("a", "^a$")],
-)
-def test_qgrams_basic(name, expected_sub):
-    assert expected_sub in qgrams(name)
+def test_qgrams_similar_names_overlap(perms, model):
+    """The name signal: padded trigrams of the lowercased column name."""
 
+    def grams(name):
+        return build_profile(f"db.t.{name}", ["x"], model, *perms).name_grams
 
-def test_qgrams_similar_names_overlap():
-    a, b = qgrams("company_name"), qgrams("company")
+    a, b = grams("company_name"), grams("company")
     assert len(a & b) / len(a | b) > 0.3
-    far = qgrams("zzz_metric")
+    far = grams("zzz_metric")
     assert len(a & far) / len(a | far) < 0.2
+    assert grams("Company") == b == set(char_ngrams("company"))
 
 
 @pytest.mark.parametrize(
@@ -149,3 +148,17 @@ def test_profile_rehydration_roundtrip(perms, model):
     assert np.allclose(q.embedding, p.embedding, atol=1e-6)
     assert q.patterns == p.patterns
     assert q.numeric is None
+
+
+def test_d3l_tied_scores_in_col_id_order(model, tied_warehouse, monkeypatch):
+    """Equal ensemble scores come back in col_id order, even when the
+    profiles are collected in reverse col_id order."""
+    profiles = D3L._profiles_df
+    monkeypatch.setattr(
+        D3L, "_profiles_df", lambda s, c: profiles(s, c).sort_values("col_id")[::-1]
+    )
+    d = D3L(model=model)
+    d.build_index(tied_warehouse)
+    results, _ = d.query("db.t2.c", k=10)
+    assert [r.col_id for r in results] == [f"db.t{i}.c" for i in (0, 1, 3, 4, 5)]
+    assert len({r.score for r in results}) == 1

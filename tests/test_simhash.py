@@ -188,34 +188,91 @@ def test_build_from_df(spark):
 def test_build_from_df_matches_signatures_df_route(spark):
     """The driver-side build and the distributed signing route (collect
     ``signatures_df``, then ``add_batch``) give the same ids, matrix and
-    buckets, duplicate vectors included."""
+    band keys, duplicate vectors included; a row is a candidate exactly
+    when some band slice of its signature packs to the query's."""
     g = np.random.default_rng(12)
     mat = 3.0 * g.standard_normal((40, 16)).astype(np.float32)
-    mat[20:30] = mat[:10]  # duplicates share every bucket
+    mat[20:30] = mat[:10]  # duplicates share every band key
     df = _emb_frame(spark, mat)
     built = SimHashIndex.build_from_df(df, dim=16, n_bits=64, seed=2)
     ref = SimHashIndex(dim=16, n_bits=64, seed=2)
     rows = signatures_df(df, ref.planes).collect()
-    ref.add_batch(
-        [r["col_id"] for r in rows],
-        np.array([r["embedding"] for r in rows], dtype=np.float32),
-        np.array([r["sig"] for r in rows], dtype=bool),
-    )
-    assert built.ids == ref.ids
+    ids = [r["col_id"] for r in rows]
+    sigs = np.array([r["sig"] for r in rows], dtype=bool)
+    ref.add_batch(ids, np.array([r["embedding"] for r in rows], dtype=np.float32), sigs)
+    assert built.ids == ref.ids == sorted(ref.ids)
     assert built.matrix.dtype == np.float32
     assert np.array_equal(built.matrix, ref.matrix)
-    assert built._buckets == ref._buckets
-    # Reference: band keys packed one band slice at a time.
+    assert np.array_equal(built.keys, ref.keys)
+    sig_of = dict(zip(ids, sigs))
     r = ref.rows_per_band
-    expected: dict = {}
-    for i, row in enumerate(rows):
-        sig = np.array(row["sig"], dtype=bool)
-        for bi in range(ref.n_bands):
-            key = (bi, np.packbits(sig[bi * r : (bi + 1) * r]).tobytes())
-            expected.setdefault(key, []).append(i)
-    assert built._buckets == expected
-    for members in built._buckets.values():
-        assert all((i in members) == (i + 20 in members) for i in range(10))
+    bands = [slice(s, s + r) for s in range(0, ref.n_bits, r)]
+
+    def collides(sig, qsig):
+        return any((np.packbits(sig[b]) == np.packbits(qsig[b])).all() for b in bands)
+
+    for q in np.vstack([mat, g.standard_normal((20, 16))]):
+        qsig = signature(q.astype(np.float32), ref.planes)
+        expected = [i for i, cid in enumerate(built.ids) if collides(sig_of[cid], qsig)]
+        got = built.candidates(q).tolist()
+        assert got == expected
+        found = {built.ids[i] for i in got}
+        assert all((f"c{i}" in found) == (f"c{i + 20}" in found) for i in range(10))
+
+
+def _index(ids, mat):
+    idx = SimHashIndex(dim=mat.shape[1], n_bits=64)
+    idx.add_batch(ids, mat, signature(mat, idx.planes))
+    return idx
+
+
+def test_build_is_independent_of_insertion_order():
+    g = np.random.default_rng(15)
+    mat = g.standard_normal((60, 16)).astype(np.float32)
+    mat[40:50] = mat[5:15]
+    ids = [f"c{i}" for i in range(60)]
+    perm = g.permutation(60)
+    a, b = _index(ids, mat), _index([ids[i] for i in perm], mat[perm])
+    assert a.ids == b.ids == sorted(ids)
+    assert np.array_equal(a.matrix, b.matrix) and np.array_equal(a.keys, b.keys)
+    for q in np.vstack([mat[:20], g.standard_normal((5, 16))]):
+        assert a.query(q, 10) == b.query(q, 10)
+        assert a.query(q, 60) == b.query(q, 60)
+
+
+def test_duplicate_vectors_come_back_in_col_id_order():
+    """Exact ties are ordered by col_id, in the banded probe (k=6) and in
+    the exhaustive fallback (k=30) alike."""
+    mat = np.random.default_rng(16).standard_normal((30, 16)).astype(np.float32)
+    mat[[27, 3, 18, 9, 22]] = mat[0]
+    idx = _index([f"x{i:02d}" for i in range(30)][::-1], mat)
+    for k in (6, 30):
+        got = idx.query(mat[0], k)[:6]
+        assert [r.col_id for r in got] == ["x02", "x07", "x11", "x20", "x26", "x29"]
+        assert len({r.score for r in got}) == 1
+
+
+def test_exhaustive_topk_matches_duckdb_oracle(spark):
+    """The exhaustive ranking equals DuckDB's ``row_number() OVER (ORDER
+    BY dot DESC, col_id)`` over the index matrix, with planted exact
+    duplicates (DESIGN §7)."""
+    from repro.oracle import assert_equivalent
+
+    g = np.random.default_rng(17)
+    mat = g.standard_normal((50, 16)).astype(np.float32)
+    mat[[31, 7, 44]] = mat[12]
+    mat[[2, 39]] = mat[25]
+    idx = _index([f"db.t{i % 4}.c{i:02d}" for i in g.permutation(50)], mat)
+    m = pd.DataFrame({"col_id": idx.ids, "vec": idx.matrix.astype(float).tolist()})
+    sql = (
+        "SELECT row_number() OVER (ORDER BY list_dot_product(m.vec, q.vec) DESC,"
+        " m.col_id) AS rank, m.col_id AS col_id FROM m, q"
+    )
+    for qi in (12, 25, 0):
+        q = mat[qi] / np.linalg.norm(mat[qi])
+        ranks = [(i + 1, r.col_id) for i, r in enumerate(idx.query(q, 50))]
+        got = spark.createDataFrame(ranks, "rank long, col_id string")
+        assert_equivalent(got, sql, m=m, q=pd.DataFrame({"vec": [q.tolist()]}))
 
 
 def test_build_from_df_runs_one_spark_job(spark):
