@@ -34,7 +34,7 @@ from repro.baselines.minhash import (
 from repro.core.sampling import load_column
 from repro.core.simhash import SearchResult
 from repro.core.warpgate import QueryTiming
-from repro.corpus.tablegen import Warehouse
+from repro.corpus.tablegen import Warehouse, apply_per_column
 from repro.embed_model.model import EmbeddingModel, cosine
 from repro.embed_model.tokenizer import char_ngrams
 
@@ -187,7 +187,7 @@ class D3L:
             "col_id string, name_grams array<string>, minhash array<long>, "
             "embedding array<double>, patterns array<string>, numeric array<double>"
         )
-        return cells.groupBy("col_id").applyInPandas(_prof, schema).toPandas()
+        return apply_per_column(cells, _prof, schema).toPandas()
 
     def build_index(self, warehouse: Warehouse) -> None:
         """Distributed full-pass profiling of every corpus column."""

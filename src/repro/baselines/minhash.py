@@ -19,6 +19,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
+from repro.corpus.tablegen import apply_per_column
+
 _MERSENNE = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
 
@@ -80,9 +82,7 @@ def minhash_signatures_df(
             )
         return pd.DataFrame({"col_id": [key[0]], "signature": [sig.tolist()]})
 
-    return cells.groupBy("col_id").applyInPandas(
-        _sig, schema="col_id string, signature array<long>"
-    )
+    return apply_per_column(cells, _sig, "col_id string, signature array<long>")
 
 
 def collect_signatures(sig_df: DataFrame) -> tuple[list[str], np.ndarray]:

@@ -4,8 +4,10 @@ The indexing half of WarpGate: every corpus column is encoded into a
 d-dimensional vector by mean-pooling the token embeddings of its
 *distinct* values (§3.1.1). The heavy lifting — tokenizing and pooling
 millions of cells — runs distributed: the long-format ``(col_id,
-value)`` cells frame is grouped per column and embedded inside
-executors with the broadcast model.
+value)`` cells frame is hash-partitioned by ``col_id`` into one
+partition per core, grouped per column, and each column is embedded
+inside an executor by ``EmbeddingModel.embed_values`` over the broadcast
+model.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.corpus.tablegen import apply_per_column
 from repro.embed_model.model import EmbeddingModel
 
 
@@ -42,9 +45,7 @@ def embed_columns_df(
             {"col_id": [key[0]], "embedding": [vec.astype(float).tolist()]}
         )
 
-    return cells.groupBy("col_id").applyInPandas(
-        _embed, schema="col_id string, embedding array<double>"
-    )
+    return apply_per_column(cells, _embed, "col_id string, embedding array<double>")
 
 
 def collect_embeddings(

@@ -46,8 +46,11 @@ def load_column(
 ) -> list:
     """Pull one column's (possibly sampled) values out of the warehouse.
 
-    A Spark job, the analogue of a CDW scan; ``sample`` rows read with
-    ``head`` short-circuit it like ``LIMIT`` pushdown.
+    The analogue of a CDW scan, but not a real one: warehouse tables are
+    ``createDataFrame(pandas)`` frames, which Spark plans as a
+    ``LocalTableScan``, so the collect runs no Spark job and costs query
+    planning over rows the driver holds. ``sample`` rows read with
+    ``head`` become a ``LIMIT``.
     """
     db, table, col = col_id.split(".", 2)
     df = warehouse.table_df(f"{db}.{table}").select(col)

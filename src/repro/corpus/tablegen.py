@@ -5,9 +5,10 @@ A corpus is described declaratively (``CorpusSpec`` → ``TableSpec`` →
 materialized corpus is exposed as a :class:`Warehouse`: a set of Spark
 DataFrames registered per table — the stand-in for a cloud data
 warehouse. All discovery systems read columns *through* the warehouse
-(:func:`repro.core.sampling.load_column`), so "data loading" cost is
-paid the same way the paper pays it (pulling a column out of the CDW),
-and row sampling short-circuits that cost exactly as §3.1.3 describes.
+(:func:`repro.core.sampling.load_column`), so every system pays the same
+"data loading" step (pulling a column out of the warehouse; here a plan
+over driver-held rows that runs no Spark job, so it is cheaper than the
+paper's CDW scan), and row sampling shortens it as §3.1.3 describes.
 
 Column kinds:
 
@@ -306,3 +307,18 @@ class Warehouse:
             for c in t.columns
             if c.kind == "entity"
         ]
+
+
+def apply_per_column(cells: DataFrame, fn, schema: str) -> DataFrame:
+    """``fn(key, pdf)`` once per column of a long ``(col_id, value)``
+    cells frame, as ``groupBy("col_id").applyInPandas(fn, schema)``.
+
+    The cells are first hash-partitioned by ``col_id`` into
+    ``defaultParallelism`` partitions, so the stage runs one task per
+    core: adaptive execution coalesces the groupBy's own shuffle by size
+    (a few MB of cells become 1–2 tasks) but keeps a repartition whose
+    count is given, and the groupBy reuses that partitioning instead of
+    shuffling again.
+    """
+    n = cells.sparkSession.sparkContext.defaultParallelism
+    return cells.repartition(n, "col_id").groupBy("col_id").applyInPandas(fn, schema)

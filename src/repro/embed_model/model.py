@@ -7,9 +7,15 @@ embedding pipeline and D3L's word-embedding signal. It is a plain
 executors cheaply.
 
 Out-of-vocabulary tokens are embedded as the L2-normalized sum of hashed
-character-trigram vectors (fastText-style). The trigram vectors come
-from a deterministic seeded Gaussian per bucket, so any process computes
-the same OOV vector for the same token — no shared state needed.
+character-trigram vectors (fastText-style). Each of the 2¹⁵ trigram
+buckets has one row, the seeded Gaussian
+``np.random.default_rng(bucket).standard_normal(dim)``, so any process
+computes the same OOV vector for the same token — no shared state
+needed. A process makes a row the first time one of its trigrams hashes
+to that bucket and keeps it in a per-``dim`` cache (``_BUCKET_ROWS``),
+so the cache holds only buckets in use and never more than 2¹⁵ rows per
+``dim``. Spark's Python workers are reused across tasks, so each worker
+builds its rows once.
 """
 from __future__ import annotations
 
@@ -21,15 +27,29 @@ import numpy as np
 from repro.embed_model.tokenizer import char_ngrams, tokenize
 
 _NGRAM_BUCKETS = 1 << 15
+# dim -> {bucket -> read-only float64 row}, filled on first use. A row is
+# a pure function of (bucket, dim), so every model, thread and test in the
+# process can share it; a race at worst makes the same row twice.
+_BUCKET_ROWS: dict[int, dict[int, np.ndarray]] = {}
 
 
 def _ngram_vector(token: str, dim: int, scale: float) -> np.ndarray:
-    """Deterministic char-trigram hash embedding for one token."""
+    """Deterministic char-trigram hash embedding for one token.
+
+    Rows are summed one at a time in float64, in trigram order, which
+    keeps every vector bit-identical to a fresh generator per trigram
+    (``np.add.reduceat`` over the gathered rows is not).
+    """
+    rows = _BUCKET_ROWS.setdefault(dim, {})
     acc = np.zeros(dim, dtype=np.float64)
     for gram in char_ngrams(token):
         bucket = zlib.crc32(gram.encode()) % _NGRAM_BUCKETS
-        rng = np.random.default_rng(bucket)
-        acc += rng.standard_normal(dim)
+        row = rows.get(bucket)
+        if row is None:
+            row = np.random.default_rng(bucket).standard_normal(dim)
+            row.flags.writeable = False
+            rows[bucket] = row
+        acc += row
     n = np.linalg.norm(acc)
     if n > 0:
         acc = acc / n * scale

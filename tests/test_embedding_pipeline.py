@@ -95,3 +95,21 @@ def test_sampling_stability_of_embeddings(spark, xs_corpus, model):
         full = model.embed_values(load_column(wh, cid))
         samp = model.embed_values(load_column(wh, cid, sample=50))
         assert cosine(full, samp) > 0.9, cid
+
+
+def test_embed_stage_runs_one_task_per_core(spark, tied_warehouse, model):
+    """The embed stage runs ``defaultParallelism`` tasks: adaptive
+    execution would coalesce a size-based shuffle of a few cells into one
+    task, but not the ``col_id`` repartition that precedes the groupBy."""
+    sc = spark.sparkContext
+    sc.setJobGroup("embed-stage", "embed-stage")
+    try:
+        collect_embeddings(
+            embed_columns_df(spark, tied_warehouse.cells_long_df(), model)
+        )
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    tracker = sc.statusTracker()
+    result_job = max(tracker.getJobIdsForGroup("embed-stage"))
+    embed_stage = max(tracker.getJobInfo(result_job).stageIds)
+    assert tracker.getStageInfo(embed_stage).numTasks == sc.defaultParallelism

@@ -1,10 +1,17 @@
 """Unit tests for EmbeddingModel (lookup, pooling, OOV fallback, I/O)."""
 from __future__ import annotations
 
+import itertools
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.embed_model import model as model_module
 from repro.embed_model.model import EmbeddingModel, _ngram_vector, cosine
+from repro.embed_model.tokenizer import char_ngrams
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +104,68 @@ def test_ngram_vector_scale():
     v = _ngram_vector("token", 32, 0.5)
     assert v.shape == (32,)
     assert np.isclose(np.linalg.norm(v), 0.5, atol=1e-5)
+
+
+def _per_gram_rng_vector(token: str, dim: int, scale: float) -> np.ndarray:
+    """Reference OOV vector without the row cache: a fresh seeded
+    generator per trigram, rows summed one at a time in float64."""
+    acc = np.zeros(dim, dtype=np.float64)
+    for gram in char_ngrams(token):
+        bucket = zlib.crc32(gram.encode()) % (1 << 15)
+        acc += np.random.default_rng(bucket).standard_normal(dim)
+    n = np.linalg.norm(acc)
+    if n > 0:
+        acc = acc / n * scale
+    return acc.astype(np.float32)
+
+
+def _cache_within_bound() -> bool:
+    return all(len(rows) <= 1 << 15 for rows in model_module._BUCKET_ROWS.values())
+
+
+_oov_tokens = st.one_of(
+    st.just(""),
+    st.text(max_size=1),
+    st.text(alphabet="abcxyz019", max_size=12),
+    st.text(max_size=20),  # any code point, non-ASCII included
+)
+
+
+@given(_oov_tokens, st.sampled_from([1, 3, 16, 64, 150]))
+@settings(max_examples=300, deadline=None)
+def test_ngram_vector_bit_identical_to_per_gram_rng(token, dim):
+    got = _ngram_vector(token, dim, 0.5)
+    assert np.array_equal(got, _per_gram_rng_vector(token, dim, 0.5))
+    assert _cache_within_bound()
+
+
+@given(_oov_tokens)
+@settings(max_examples=200, deadline=None)
+def test_token_vector_bit_identical_to_per_gram_rng(tiny_model, token):
+    got = tiny_model.token_vector(token)
+    if token in tiny_model.vocab:
+        expected = tiny_model.vectors[tiny_model.vocab[token]]
+    else:
+        expected = _per_gram_rng_vector(token, tiny_model.dim, tiny_model.oov_scale)
+    assert np.array_equal(got, expected)
+    assert _cache_within_bound()
+
+
+def test_bucket_cache_holds_only_used_buckets():
+    """More distinct trigrams than buckets: the cache ends up with
+    exactly the buckets they hash to, at most 2**15 read-only rows."""
+    dim = 2
+    model_module._BUCKET_ROWS.pop(dim, None)
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+    used: set[int] = set()
+    for chars in itertools.product(alphabet, repeat=3):
+        token = "".join(chars)
+        _ngram_vector(token, dim, 0.5)
+        used.update(zlib.crc32(g.encode()) % (1 << 15) for g in char_ngrams(token))
+    rows = model_module._BUCKET_ROWS[dim]
+    assert set(rows) == used
+    assert len(rows) <= 1 << 15
+    assert not any(r.flags.writeable for r in rows.values())
 
 
 def test_trained_model_clusters_domains(model, universe):

@@ -1,6 +1,10 @@
 """System tests for WarpGate over testbedXS."""
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -116,3 +120,23 @@ def test_config_threshold_sets_bands(model, xs_corpus):
 
 def test_empty_values_lookup(warpgate_xs):
     assert warpgate_xs.lookup([None, ""], k=5) == []
+
+
+def _top10_digest(results) -> str:
+    text = "|".join(f"{r.col_id}:{r.score:.6f}" for r in results)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_xs_top10_lists_match_checked_in_digest(warpgate_xs, xs_corpus):
+    """Every XS top-10 list (ids and scores to 6 places) equals the one
+    recorded in ``xs_top10_digest.json`` under the fixed seeds. Recall is
+    already 1.0 on S, so this is what catches a ranking change. A change
+    that moves rankings on purpose regenerates the file and says why."""
+    spec, _ = xs_corpus
+    expected = json.loads(
+        (Path(__file__).parent / "xs_top10_digest.json").read_text()
+    )
+    got = {c: _top10_digest(warpgate_xs.query(c, k=10)[0]) for c in spec.column_ids()}
+    assert set(got) == set(expected)
+    changed = sorted(c for c in got if got[c] != expected[c])
+    assert not changed, f"{len(changed)} top-10 lists changed, e.g. {changed[:5]}"
