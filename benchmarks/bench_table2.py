@@ -2,7 +2,8 @@
 
 One benchmark per (testbed, system): the body is the full query loop at
 k=10 over the bench query subset, against pre-built indexes — exactly
-the paper's measurement. The final test assembles the Table 2 rows,
+the paper's measurement — timed after one untimed pass over the same
+queries. The final test assembles the Table 2 rows,
 prints paper vs measured, and asserts the paper's shape:
 
 * Aurum ≪ WarpGate < D3L on both testbeds;
@@ -23,12 +24,13 @@ _RESULTS: dict[str, dict] = {}
 
 def _bench_system(benchmark, fixture, ds_label, name):
     spec, _, systems = fixture
+    args = (systems[name], name, spec.queries)
+    kwargs = dict(k=10, max_queries=BENCH_MAX_QUERIES)
+    # One untimed pass first, so the timed one starts warm whichever
+    # system and testbed run first.
+    run_queries(*args, **kwargs)
     rr = benchmark.pedantic(
-        run_queries,
-        args=(systems[name], name, spec.queries),
-        kwargs=dict(k=10, max_queries=BENCH_MAX_QUERIES),
-        rounds=1,
-        iterations=1,
+        run_queries, args=args, kwargs=kwargs, rounds=1, iterations=1
     )
     _RESULTS.setdefault(ds_label, {})[name] = rr
     benchmark.extra_info["avg_e2e_s"] = rr.avg_e2e_s

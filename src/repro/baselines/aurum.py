@@ -29,16 +29,14 @@ from repro.core.simhash import SearchResult
 from repro.core.warpgate import QueryTiming
 from repro.corpus.tablegen import Warehouse
 
-DEFAULT_EDGE_THRESHOLD = 0.1
+# Estimated Jaccard at or above which two columns share a graph edge.
+EDGE_THRESHOLD = 0.1
 
 
 @dataclass
 class Aurum:
     """Profile graph + neighbor lookup."""
 
-    n_perm: int = 128
-    edge_threshold: float = DEFAULT_EDGE_THRESHOLD
-    seed: int = 7
     graph: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
     index_build_s: float = 0.0
 
@@ -46,9 +44,7 @@ class Aurum:
         """Full-pass profiling + graph construction (offline phase)."""
         t0 = time.perf_counter()
         cells = warehouse.cells_long_df()  # Aurum assumes a full data pass
-        ids, sigs = collect_signatures(
-            minhash_signatures_df(cells, n_perm=self.n_perm, seed=self.seed)
-        )
+        ids, sigs = collect_signatures(minhash_signatures_df(cells))
         self.graph = {}
         if ids:
             # col_id order, so the stable edge sort breaks ties by col_id.
@@ -57,7 +53,7 @@ class Aurum:
             jac = pairwise_jaccard(sigs)
             np.fill_diagonal(jac, 0.0)
             for i, cid in enumerate(ids):
-                nbrs = np.where(jac[i] >= self.edge_threshold)[0]
+                nbrs = np.where(jac[i] >= EDGE_THRESHOLD)[0]
                 edges = sorted(
                     ((ids[j], float(jac[i, j])) for j in nbrs),
                     key=lambda e: -e[1],

@@ -27,6 +27,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.baselines.minhash import (
+    N_PERM,
+    PERM_SEED,
     est_jaccard,
     minhash_signature,
     permutation_params,
@@ -87,12 +89,12 @@ class ColumnProfile:
 
 def build_profile(
     col_id: str,
+    name: str,
     values: list,
     model: EmbeddingModel,
     a: np.ndarray,
     b: np.ndarray,
 ) -> ColumnProfile:
-    name = col_id.split(".")[-1]
     clean = [v for v in values if v is not None]
     return ColumnProfile(
         col_id=col_id,
@@ -158,18 +160,19 @@ class D3L:
     """Offline profiling + per-query five-signal ensemble ranking."""
 
     model: EmbeddingModel
-    n_perm: int = 128
-    seed: int = 7
     profiles: dict[str, ColumnProfile] = field(default_factory=dict)
     index_build_s: float = 0.0
     _warehouse: Warehouse | None = None
+    _perms: tuple[np.ndarray, np.ndarray] | None = None
 
     def _profiles_df(self, cells: DataFrame) -> pd.DataFrame:
-        a, b = permutation_params(self.n_perm, self.seed)
+        a, b = self._perms
         model = self.model
+        names = {cid: c.name for cid, (_, c) in self._warehouse.spec.columns.items()}
 
         def _prof(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-            p = build_profile(key[0], pdf["value"].tolist(), model, a, b)
+            cid = key[0]
+            p = build_profile(cid, names[cid], pdf["value"].tolist(), model, a, b)
             return pd.DataFrame(
                 {
                     "col_id": [p.col_id],
@@ -192,10 +195,11 @@ class D3L:
     def build_index(self, warehouse: Warehouse) -> None:
         """Distributed full-pass profiling of every corpus column."""
         t0 = time.perf_counter()
+        self._warehouse = warehouse
+        self._perms = permutation_params(N_PERM, PERM_SEED)
         # col_id order, so the stable sort in query breaks ties by col_id.
         pdf = self._profiles_df(warehouse.cells_long_df()).sort_values("col_id")
         self.profiles = {p.col_id: p for p in profiles_df_to_list(pdf)}
-        self._warehouse = warehouse
         self.index_build_s = time.perf_counter() - t0
 
     def query(
@@ -205,8 +209,8 @@ class D3L:
         t0 = time.perf_counter()
         values = load_column(self._warehouse, col_id)
         t1 = time.perf_counter()
-        a, b = permutation_params(self.n_perm, self.seed)
-        qp = build_profile(col_id, values, self.model, a, b)
+        name = self._warehouse.spec.column_spec(col_id).name
+        qp = build_profile(col_id, name, values, self.model, *self._perms)
         scored = [
             SearchResult(col_id=cid, score=profile_similarity(qp, prof))
             for cid, prof in self.profiles.items()

@@ -23,6 +23,9 @@ from repro.corpus.tablegen import apply_per_column
 
 _MERSENNE = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
+# The sketch both baselines use: N_PERM permutations drawn from PERM_SEED.
+N_PERM = 128
+PERM_SEED = 7
 
 
 def permutation_params(n_perm: int, seed: int = 7) -> tuple[np.ndarray, np.ndarray]:
@@ -65,11 +68,9 @@ def est_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float(np.mean(sig_a == sig_b))
 
 
-def minhash_signatures_df(
-    cells: DataFrame, *, n_perm: int = 128, seed: int = 7
-) -> DataFrame:
+def minhash_signatures_df(cells: DataFrame) -> DataFrame:
     """``(col_id, signature)`` for every column of a long cells frame."""
-    a, b = permutation_params(n_perm, seed)
+    a, b = permutation_params(N_PERM, PERM_SEED)
 
     def _sig(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
         sig = minhash_signature(pdf["value"].tolist(), a, b)

@@ -52,7 +52,8 @@ def load_column(
     planning over rows the driver holds. ``sample`` rows read with
     ``head`` become a ``LIMIT``.
     """
-    db, table, col = col_id.split(".", 2)
-    df = warehouse.table_df(f"{db}.{table}").select(col)
+    table, column = warehouse.spec.columns[col_id]
+    quoted = column.name.replace("`", "``")
+    df = warehouse.table_df(table.table_id).select(f"`{quoted}`")
     df = sample_column_df(df, sample=sample, strategy=strategy, seed=seed)
     return [r[0] for r in df.collect()]

@@ -35,7 +35,6 @@ class WarpGateConfig:
     threshold: float = 0.7  # SimHash LSH similarity threshold (§4.3)
     sample: int | None = None  # rows per column; None = full values
     strategy: str = "head"
-    k: int = 10
     seed: int = 99
 
 
@@ -76,13 +75,12 @@ class WarpGate:
         return self.index
 
     def query(
-        self, col_id: str, *, k: int | None = None
+        self, col_id: str, *, k: int = 10
     ) -> tuple[list[SearchResult], QueryTiming]:
         """Top-k semantic join discovery for one query column."""
         assert self.index is not None and self._warehouse is not None, (
             "build_index() must run before query()"
         )
-        k = k or self.config.k
         t0 = time.perf_counter()
         values = load_column(
             self._warehouse,

@@ -25,36 +25,35 @@ import numpy as np
 from repro.embed_model.model import EmbeddingModel
 from repro.embed_model.tokenizer import tokenize
 
+# N_LAYERS and HIDDEN_MULT set the inference cost; CTX_WEIGHT is how much
+# the contextual residue perturbs the base pooled embedding (kept small
+# for quality parity); SEED draws the layer weights.
+N_LAYERS = 6
+HIDDEN_MULT = 4
+CTX_WEIGHT = 0.1
+SEED = 1234
+
 
 @dataclass
 class BertLikeModel:
-    """Contextual wrapper over a base :class:`EmbeddingModel`.
-
-    ``n_layers``/``hidden_mult`` control inference cost; ``ctx_weight``
-    controls how much the contextual residue perturbs the base pooled
-    embedding (kept small for quality parity).
-    """
+    """Contextual wrapper over a base :class:`EmbeddingModel`."""
 
     base: EmbeddingModel
-    n_layers: int = 6
-    hidden_mult: int = 4
-    ctx_weight: float = 0.1
-    seed: int = 1234
     _layers: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        g = np.random.default_rng(self.seed)
+        g = np.random.default_rng(SEED)
         d = self.base.dim
-        h = d * self.hidden_mult
+        h = d * HIDDEN_MULT
         scale = 1.0 / np.sqrt(d)
         self._layers = [
             (
                 (g.standard_normal((d, h)) * scale).astype(np.float32),
-                (g.standard_normal((h, d)) * scale / self.hidden_mult).astype(
+                (g.standard_normal((h, d)) * scale / HIDDEN_MULT).astype(
                     np.float32
                 ),
             )
-            for _ in range(self.n_layers)
+            for _ in range(N_LAYERS)
         ]
 
     @property
@@ -99,7 +98,7 @@ class BertLikeModel:
             base_vec = base_vec / nb
         if nc > 0:
             ctx_vec = ctx_vec / nc
-        out = (1.0 - self.ctx_weight) * base_vec + self.ctx_weight * ctx_vec
+        out = (1.0 - CTX_WEIGHT) * base_vec + CTX_WEIGHT * ctx_vec
         n = np.linalg.norm(out)
         if n > 0:
             out = out / n

@@ -20,7 +20,6 @@ from pyspark.sql import SparkSession
 
 from repro.baselines.aurum import Aurum
 from repro.baselines.d3l import D3L
-from repro.core.sampling import load_column
 from repro.core.warpgate import WarpGate, WarpGateConfig
 from repro.corpus.nextiajd import build_testbed
 from repro.corpus.sigma import build_sigma_spec, warehouse_shape_stats
@@ -153,12 +152,27 @@ def experiment_sample_efficiency(
     instances per dataset (benchmarks reuse Table 2's index builds).
     """
     rows: list[tuple[str, str, float, float, float, float]] = []
+
+    def run(wg: WarpGate, name: str, ds: str, label: str) -> None:
+        spec, _ = ctx.corpus(ds)
+        # One untimed pass first, so no first-call cost lands on
+        # whichever sample size happens to run first.
+        run_queries(wg, name, spec.queries, k=10, max_queries=max_queries)
+        rr = run_queries(wg, name, spec.queries, k=10, max_queries=max_queries)
+        pr = rr.pr(ks=[10])[0]
+        rows.append(
+            (
+                f"testbed{ds}",
+                label,
+                round(pr.precision, 3),
+                round(pr.recall, 3),
+                round(rr.avg_lookup_s, 4),
+                round(rr.avg_e2e_s, 4),
+            )
+        )
+
     for ds in datasets:
-        spec, wh = ctx.corpus(ds)
-        # Warm the query path once per dataset so Spark's first-job cost
-        # doesn't land on whichever sample size happens to run first.
-        if spec.queries:
-            load_column(wh, spec.queries[0].column, sample=10)
+        _, wh = ctx.corpus(ds)
         for sample in sample_sizes:
             if sample is None and full_systems and ds in full_systems:
                 wg = full_systems[ds]
@@ -167,37 +181,13 @@ def experiment_sample_efficiency(
                     model=ctx.model, config=WarpGateConfig(sample=sample)
                 )
                 wg.build_index(wh)
-            rr = run_queries(wg, "WarpGate", spec.queries, k=10, max_queries=max_queries)
-            pr = rr.pr(ks=[10])[0]
-            rows.append(
-                (
-                    f"testbed{ds}",
-                    "full" if sample is None else str(sample),
-                    round(pr.precision, 3),
-                    round(pr.recall, 3),
-                    round(rr.avg_lookup_s, 4),
-                    round(rr.avg_e2e_s, 4),
-                )
-            )
+            run(wg, "WarpGate", ds, "full" if sample is None else str(sample))
         if include_bertlike:
             bert = BertLikeModel(base=ctx.model)
             for sample in bertlike_samples:
                 wg = WarpGate(model=bert, config=WarpGateConfig(sample=sample))
                 wg.build_index(wh)
-                rr = run_queries(
-                    wg, "WarpGate-BERT", spec.queries, k=10, max_queries=max_queries
-                )
-                pr = rr.pr(ks=[10])[0]
-                rows.append(
-                    (
-                        f"testbed{ds}",
-                        f"bert:{sample}",
-                        round(pr.precision, 3),
-                        round(pr.recall, 3),
-                        round(rr.avg_lookup_s, 4),
-                        round(rr.avg_e2e_s, 4),
-                    )
-                )
+                run(wg, "WarpGate-BERT", ds, f"bert:{sample}")
     return T.sample_efficiency_table(rows)
 
 

@@ -78,13 +78,11 @@ def run_all_systems(
     *,
     k: int = 10,
     max_queries: int | None = None,
-    build: bool = True,
 ) -> dict[str, RunResult]:
     """Index each system over the warehouse, then run the query set."""
     out: dict[str, RunResult] = {}
     for name, sys_ in systems.items():
-        if build:
-            sys_.build_index(warehouse)
+        sys_.build_index(warehouse)
         out[name] = run_queries(
             sys_, name, spec.queries, k=k, max_queries=max_queries
         )

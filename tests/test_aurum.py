@@ -15,7 +15,7 @@ def test_edges_sorted_and_thresholded(aurum_xs):
     for cid, edges in list(aurum_xs.graph.items())[:50]:
         scores = [s for _, s in edges]
         assert scores == sorted(scores, reverse=True)
-        assert all(s >= aurum_xs.edge_threshold for s in scores)
+        assert all(s >= aurum.EDGE_THRESHOLD for s in scores)
         assert cid not in [c for c, _ in edges]
 
 

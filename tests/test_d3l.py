@@ -25,7 +25,7 @@ def test_qgrams_similar_names_overlap(perms, model):
     """The name signal: padded trigrams of the lowercased column name."""
 
     def grams(name):
-        return build_profile(f"db.t.{name}", ["x"], model, *perms).name_grams
+        return build_profile(f"db.t.{name}", name, ["x"], model, *perms).name_grams
 
     a, b = grams("company_name"), grams("company")
     assert len(a & b) / len(a | b) > 0.3
@@ -64,7 +64,7 @@ def test_numeric_profile_empty():
 
 def test_build_profile_fields(perms, model):
     a, b = perms
-    p = build_profile("db.t.company", ["Acme Corp", "Beta Inc"], model, a, b)
+    p = build_profile("db.t.company", "company", ["Acme Corp", "Beta Inc"], model, a, b)
     assert p.name_grams and p.patterns
     assert p.minhash is not None and p.embedding is not None
     assert p.numeric is None
@@ -72,21 +72,21 @@ def test_build_profile_fields(perms, model):
 
 def test_profile_similarity_self_high(perms, model):
     a, b = perms
-    p = build_profile("db.t.company", ["Acme Corp", "Beta Inc"], model, a, b)
+    p = build_profile("db.t.company", "company", ["Acme Corp", "Beta Inc"], model, a, b)
     assert profile_similarity(p, p) > 0.95
 
 
 def test_profile_similarity_unrelated_low(perms, model):
     a, b = perms
-    p = build_profile("db.t.company", ["Acme Corp", "Beta Inc"], model, a, b)
-    q = build_profile("db.t.metric", [1.5, 2.5, 9.1], model, a, b)
+    p = build_profile("db.t.company", "company", ["Acme Corp", "Beta Inc"], model, a, b)
+    q = build_profile("db.t.metric", "metric", [1.5, 2.5, 9.1], model, a, b)
     assert profile_similarity(p, q) < 0.4
 
 
 def test_similarity_in_unit_interval(perms, model):
     a, b = perms
-    p = build_profile("x.y.alpha", ["one", "two"], model, a, b)
-    q = build_profile("x.y.beta", ["three"], model, a, b)
+    p = build_profile("x.y.alpha", "alpha", ["one", "two"], model, a, b)
+    q = build_profile("x.y.beta", "beta", ["three"], model, a, b)
     s = profile_similarity(p, q)
     assert 0.0 <= s <= 1.0
 
@@ -131,7 +131,7 @@ def test_profile_rehydration_roundtrip(perms, model):
     import pandas as pd
 
     a, b = perms
-    p = build_profile("db.t.c", ["Acme", "Beta"], model, a, b)
+    p = build_profile("db.t.c", "c", ["Acme", "Beta"], model, a, b)
     pdf = pd.DataFrame(
         {
             "col_id": [p.col_id],

@@ -113,3 +113,19 @@ def test_embed_stage_runs_one_task_per_core(spark, tied_warehouse, model):
     result_job = max(tracker.getJobIdsForGroup("embed-stage"))
     embed_stage = max(tracker.getJobInfo(result_job).stageIds)
     assert tracker.getStageInfo(embed_stage).numTasks == sc.defaultParallelism
+
+
+def test_cells_read_stage_runs_one_task_per_core(spark, xs_corpus, model):
+    """The stage that reads the cells of all 28 XS tables runs
+    ``defaultParallelism`` tasks, not a few per table."""
+    _, wh = xs_corpus
+    sc = spark.sparkContext
+    sc.setJobGroup("cells-read", "cells-read")
+    try:
+        collect_embeddings(embed_columns_df(spark, wh.cells_long_df(), model))
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    tracker = sc.statusTracker()
+    first_job = min(tracker.getJobIdsForGroup("cells-read"))
+    read_stage = min(tracker.getJobInfo(first_job).stageIds)
+    assert tracker.getStageInfo(read_stage).numTasks == sc.defaultParallelism

@@ -7,6 +7,8 @@ import pytest
 import pyspark.sql.functions as F
 
 from repro.baselines.minhash import (
+    N_PERM,
+    PERM_SEED,
     collect_signatures,
     est_jaccard,
     minhash_signature,
@@ -79,10 +81,8 @@ def test_signatures_df_matches_driver(spark, perms):
             "value": ["x", "y", "z", "x", "w"],
         }
     )
-    a, b = permutation_params(128, seed=7)
-    ids, sigs = collect_signatures(
-        minhash_signatures_df(spark.createDataFrame(cells), n_perm=128, seed=7)
-    )
+    a, b = permutation_params(N_PERM, PERM_SEED)
+    ids, sigs = collect_signatures(minhash_signatures_df(spark.createDataFrame(cells)))
     got = dict(zip(ids, sigs))
     assert np.array_equal(got["A"], minhash_signature(["x", "y", "z"], a, b))
     assert np.array_equal(got["B"], minhash_signature(["x", "w"], a, b))

@@ -217,3 +217,43 @@ def test_text_columns_mix_stopwords(uni):
     words = [w for v in vals for w in str(v).split()]
     stop_share = np.mean([w in _STOPWORDS for w in words])
     assert 0.3 < stop_share < 0.85
+
+
+@pytest.mark.parametrize("name", ["a.b", "it's", "back`tick", 'say "hi"'])
+def test_odd_column_names_resolve_everywhere(spark, model, uni, name):
+    """A column name with a dot, a quote or a backtick resolves to the same
+    column in the cells frame, ``load_column``, ``column_spec`` and D3L."""
+    from repro.baselines.d3l import D3L
+    from repro.embed_model.tokenizer import char_ngrams
+
+    cols = (
+        ColumnSpec(name=name, kind="entity", domain=uni.domains[0].name),
+        ColumnSpec(name="b", kind="id"),
+    )
+    spec = CorpusSpec(
+        name="odd", tables=[TableSpec(db="db", name="t", n_rows=30, columns=cols)]
+    )
+    wh = Warehouse(spark, spec, uni)
+    cid = f"db.t.{name}"
+    assert spec.column_spec(cid).name == name
+    cells = wh.cells_long_df().toPandas()
+    loaded = load_column(wh, cid)
+    assert loaded == wh.table_pdf("db.t")[name].tolist()
+    assert sorted(cells.loc[cells["col_id"] == cid, "value"]) == sorted(map(str, loaded))
+    d3l = D3L(model=model)
+    d3l.build_index(wh)
+    assert d3l.profiles[cid].name_grams == set(char_ngrams(name.lower()))
+
+
+def test_cells_are_the_strings_load_column_returns(xs_corpus):
+    """The build and the query see the same text: per column, the non-null
+    cells equal ``str(v)`` of the non-null values ``load_column`` returns,
+    as multisets, in full and at a 10-row sample."""
+    spec, wh = xs_corpus
+    for sample in (None, 10):
+        cells = wh.cells_long_df(sample=sample).toPandas().dropna()
+        got = cells.groupby("col_id")["value"].apply(sorted).to_dict()
+        for cid in spec.column_ids():
+            loaded = load_column(wh, cid, sample=sample)
+            want = sorted(str(v) for v in loaded if v is not None and v == v)
+            assert got.get(cid, []) == want, (cid, sample)
