@@ -25,7 +25,7 @@ from repro.baselines.minhash import (
     minhash_signatures_df,
     pairwise_jaccard,
 )
-from repro.core.simhash import SearchResult
+from repro.core.simhash import SearchResult, check_k
 from repro.core.warpgate import QueryTiming
 from repro.corpus.tablegen import Warehouse
 
@@ -65,6 +65,7 @@ class Aurum:
         self, col_id: str, *, k: int = 10
     ) -> tuple[list[SearchResult], QueryTiming]:
         """Graph neighbor lookup — the whole query path."""
+        check_k(k)
         t0 = time.perf_counter()
         edges = self.graph.get(col_id, [])[:k]
         results = [SearchResult(col_id=c, score=s) for c, s in edges]

@@ -34,7 +34,7 @@ from repro.baselines.minhash import (
     permutation_params,
 )
 from repro.core.sampling import load_column
-from repro.core.simhash import SearchResult
+from repro.core.simhash import SearchResult, check_k
 from repro.core.warpgate import QueryTiming
 from repro.corpus.tablegen import Warehouse, apply_per_column
 from repro.embed_model.model import EmbeddingModel, cosine
@@ -206,6 +206,7 @@ class D3L:
         self, col_id: str, *, k: int = 10
     ) -> tuple[list[SearchResult], QueryTiming]:
         assert self._warehouse is not None, "build_index() must run first"
+        check_k(k)
         t0 = time.perf_counter()
         values = load_column(self._warehouse, col_id)
         t1 = time.perf_counter()

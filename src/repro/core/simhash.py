@@ -11,9 +11,16 @@ similarity threshold (0.7): we pick ``r`` so the band S-curve midpoint
 ``(1/b)^(1/r)`` sits closest to the threshold's bit-agreement
 probability.
 
+A band's ``r`` bits pack into one unsigned integer (``r`` ≤ 32), so the
+probe is one integer compare per band and row. The re-rank reads only
+the top ``k + |exclude|`` scores: a partition finds the score at that
+place, every candidate scoring at least as much (the whole tie run at
+the cut-off included) is stable-sorted, and nothing else is sorted.
+
 CDW discovery has stringent completeness requirements (§1), so when the
-banded probe yields fewer than ``k`` candidates the index falls back to
-an exhaustive scan — recall is never silently truncated by the hash.
+banded probe yields fewer than ``k + |exclude|`` candidates the index
+falls back to an exhaustive scan — recall is never silently truncated by
+the hash.
 
 The index is a small in-memory, per-warehouse structure (thousands of
 columns), built on the driver: the embeddings are collected once, signed
@@ -94,12 +101,20 @@ class SearchResult:
     score: float
 
 
+def check_k(k: int) -> None:
+    """The ``k`` rule of every ``query``: ``k == 0`` asks for no
+    results, and a negative ``k`` is an error."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+
+
 class SimHashIndex:
     """In-memory banded SimHash index over column embeddings.
 
     Rows are in ``col_id`` order. ``matrix`` holds the L2-normalized
     vectors (zero rows stay zero), so re-ranking is one matrix-vector
-    product. ``keys[band, row]`` is a row's packed key in one band.
+    product. ``keys[band, row]`` is a row's key in one band: its ``r``
+    signature bits packed into one ``uint8``, ``uint16`` or ``uint32``.
     """
 
     def __init__(
@@ -119,28 +134,31 @@ class SimHashIndex:
         )
         self.ids: list[str] = []
         self.matrix = np.zeros((0, dim), dtype=np.float32)
-        self.keys = self._band_keys(np.zeros((0, n_bits), dtype=bool)).swapaxes(0, 1)
+        self.keys = self._band_keys(np.zeros((0, n_bits), dtype=bool)).T
 
     # -- build -----------------------------------------------------------
     def _band_keys(self, sigs: np.ndarray) -> np.ndarray:
-        """Packed band keys, ``(..., n_bands, bytes per band)``, of one
-        signature or a matrix of them."""
+        """Band keys, ``(..., n_bands)``, of one signature or a matrix of
+        them: each band's packed bytes viewed as one unsigned integer."""
         shape = sigs.shape[:-1] + (self.n_bands, self.rows_per_band)
-        return np.packbits(sigs.reshape(shape), axis=-1)
+        packed = np.packbits(sigs.reshape(shape), axis=-1)
+        return packed.view(f"u{packed.shape[-1]}")[..., 0]
 
     def add_batch(self, ids: list[str], mat: np.ndarray, sigs: np.ndarray) -> None:
-        """Fill an empty index with pre-signed vectors."""
+        """Fill an empty index with pre-signed, finite vectors."""
         if self.ids:
             raise ValueError("add_batch fills an empty index")
+        mat = np.asarray(mat, dtype=np.float32)
+        if not np.isfinite(mat).all():
+            raise ValueError("index vectors must be finite")
         order = np.argsort(np.asarray(ids, dtype=str), kind="stable")
         self.ids = [ids[i] for i in order]
-        mat = np.asarray(mat, dtype=np.float32)
         # The reordered copy is the only new full-size array.
         norms = np.linalg.norm(mat, axis=1, keepdims=True)[order]
         m = mat[order]
         self.matrix = np.divide(m, norms, out=m, where=norms > 0)
         keys = self._band_keys(np.asarray(sigs, dtype=bool))[order]
-        self.keys = np.ascontiguousarray(keys.swapaxes(0, 1))
+        self.keys = np.ascontiguousarray(keys.T)
 
     @classmethod
     def build_from_df(
@@ -164,7 +182,7 @@ class SimHashIndex:
     def candidates(self, vec: np.ndarray) -> np.ndarray:
         """Ascending rows that share at least one band key with ``vec``."""
         q = self._band_keys(signature(vec.astype(np.float32), self.planes))
-        return np.flatnonzero((self.keys == q[:, None]).all(-1).any(0))
+        return np.flatnonzero((self.keys == q[:, None]).any(0))
 
     def query(
         self,
@@ -175,20 +193,27 @@ class SimHashIndex:
     ) -> list[SearchResult]:
         """Top-k by exact cosine over the banded candidate sub-universe,
         falling back to a full scan when the probe under-delivers. Equal
-        scores come back in ``col_id`` order."""
-        if len(self.ids) == 0:
-            return []
+        scores come back in ``col_id`` order. A non-finite ``vec`` raises
+        ``ValueError``."""
+        check_k(k)
         v = vec.astype(np.float32)
+        if not np.isfinite(v).all():
+            raise ValueError("query vector must be finite")
         nv = np.linalg.norm(v)
-        if nv == 0:
+        if k == 0 or len(self.ids) == 0 or nv == 0:
             return []
         v = v / nv
         cand = self.candidates(v)
-        n_excluded = len(exclude or ())
-        if len(cand) < k + n_excluded:
+        m = k + len(exclude or ())
+        if len(cand) < m:
             cand = np.arange(len(self.ids))
-        scores = self.matrix[cand] @ v
-        order = np.argsort(-scores, kind="stable")
+        scores = np.take(self.matrix, cand, axis=0) @ v
+        # Only the top m of the stable order by -score can be returned.
+        # Keep every score >= the m-th largest, so a tie run at the
+        # cut-off stays whole; ``top`` ascends, so ties stay in col_id order.
+        cut = max(len(scores) - m, 0)
+        top = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+        order = top[np.argsort(-scores[top], kind="stable")]
         out: list[SearchResult] = []
         for oi in order:
             cid = self.ids[cand[oi]]

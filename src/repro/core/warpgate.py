@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.embedding import embed_columns_df
 from repro.core.sampling import load_column
-from repro.core.simhash import SearchResult, SimHashIndex
+from repro.core.simhash import SearchResult, SimHashIndex, check_k
 from repro.corpus.tablegen import Warehouse
 from repro.embed_model.model import EmbeddingModel
 
@@ -97,6 +97,7 @@ class WarpGate:
         self, values: list, *, k: int, exclude: set[str] | None = None
     ) -> list[SearchResult]:
         """Index lookup: embed raw values, probe LSH bands, re-rank."""
+        check_k(k)
         vec = self.model.embed_values(values)
         if vec is None:
             return []

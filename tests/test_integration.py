@@ -116,3 +116,29 @@ def test_systems_agree_on_easy_pairs(warpgate_xs, d3l_xs, xs_corpus):
             total += 1
             both += a in {r.col_id for r in wg} and a in {r.col_id for r in d3}
     assert total > 0 and both / total > 0.7
+
+
+@pytest.mark.parametrize("system", ["SimHashIndex", "WarpGate", "Aurum", "D3L"])
+def test_one_k_rule_for_every_query(system, request, xs_corpus):
+    """Every ``query`` returns no results at k == 0, the first results
+    at k > 0, and raises ValueError at k < 0."""
+    spec, _ = xs_corpus
+    col = spec.queries[0].column
+    if system == "SimHashIndex":
+        idx = request.getfixturevalue("warpgate_xs").index
+        vec = idx.matrix[idx.ids.index(col)]
+
+        def query(k):
+            return idx.query(vec, k)
+    else:
+        fixture = {"WarpGate": "warpgate_xs", "Aurum": "aurum_xs", "D3L": "d3l_xs"}
+        sys_ = request.getfixturevalue(fixture[system])
+
+        def query(k):
+            return sys_.query(col, k=k)[0]
+
+    assert query(0) == []
+    assert query(1) == query(10)[:1]
+    for k in (-1, -3):
+        with pytest.raises(ValueError):
+            query(k)

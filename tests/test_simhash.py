@@ -311,3 +311,55 @@ def test_zero_vector_in_index_scores_zero():
     got = {r.col_id: r.score for r in idx.query(g.standard_normal(8), 6)}
     assert got["c2"] == 0.0
     assert not any(np.isnan(list(got.values())))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vectors_raise(random_index, bad):
+    """A NaN or infinite vector can be neither ranked nor indexed."""
+    idx, mat = random_index
+    q = mat[0].copy()
+    q[3] = bad
+    with pytest.raises(ValueError):
+        idx.query(q, 5)
+    with pytest.raises(ValueError):
+        _index(["a", "b"], np.vstack([mat[1], q]))
+
+
+def _stable_sort_reference(idx, vec, k, exclude=frozenset()):
+    """``query``'s answer from a full stable sort of the same candidates."""
+    v = vec.astype(np.float32) / np.linalg.norm(vec.astype(np.float32))
+    cand = idx.candidates(v)
+    if len(cand) < k + len(exclude):
+        cand = np.arange(len(idx.ids))
+    scores = idx.matrix[cand] @ v
+    order = np.argsort(-scores, kind="stable")
+    ranked = [(idx.ids[cand[i]], float(scores[i])) for i in order]
+    return [r for r in ranked if r[0] not in exclude][:k]
+
+
+def test_partial_selection_matches_full_stable_sort():
+    """``query`` sorts only the scores at or above its (k + |exclude|)-th
+    largest. Around a tie run straddling that place, and in the
+    exhaustive fallback (k >= C), its lists equal a full stable sort of
+    the same candidates, ids and scores both."""
+    g = np.random.default_rng(18)
+    n, dim = 80, 16
+    q = g.standard_normal(dim).astype(np.float32)
+    mat = g.standard_normal((n, dim)).astype(np.float32)
+    mat[:6] = q + 0.05 * g.standard_normal((6, dim))  # ranked above the run
+    tie = g.choice(np.arange(6, n), 7, replace=False)
+    mat[tie] = q + 0.3 * g.standard_normal(dim)  # seven rows, one score
+    names = [f"c{i:02d}" for i in g.permutation(n)]
+    idx = _index(names, mat)
+    ranked = _stable_sort_reference(idx, q, n)
+    tied = {names[i] for i in tie}
+    first = next(p for p, (c, _) in enumerate(ranked) if c in tied)
+    assert (first, len({s for c, s in ranked if c in tied})) == (6, 1)
+    assert {c for c, _ in ranked[first : first + 7]} == tied
+    cand = {idx.ids[i] for i in idx.candidates(q)}
+    assert {c for c, _ in ranked[:13]} <= cand and len(cand) < n
+    excludes = (frozenset(), frozenset({names[0], names[tie[2]], names[40], "absent"}))
+    for exclude in excludes:
+        for k in [*range(1, 16), n - 1, n, n + 5]:
+            got = [(r.col_id, r.score) for r in idx.query(q, k, exclude=set(exclude))]
+            assert got == _stable_sort_reference(idx, q, k, exclude), (k, exclude)
