@@ -170,20 +170,15 @@ class D3L:
         model = self.model
         names = {cid: c.name for cid, (_, c) in self._warehouse.spec.columns.items()}
 
-        def _prof(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-            cid = key[0]
-            p = build_profile(cid, names[cid], pdf["value"].tolist(), model, a, b)
-            return pd.DataFrame(
-                {
-                    "col_id": [p.col_id],
-                    "name_grams": [sorted(p.name_grams)],
-                    "minhash": [None if p.minhash is None else p.minhash.tolist()],
-                    "embedding": [
-                        None if p.embedding is None else p.embedding.astype(float).tolist()
-                    ],
-                    "patterns": [sorted(p.patterns)],
-                    "numeric": [None if p.numeric is None else p.numeric.tolist()],
-                }
+        def _prof(col_id: str, values: list) -> tuple:
+            p = build_profile(col_id, names[col_id], values, model, a, b)
+            return (
+                p.col_id,
+                sorted(p.name_grams),
+                None if p.minhash is None else p.minhash.tolist(),
+                None if p.embedding is None else p.embedding.astype(float).tolist(),
+                sorted(p.patterns),
+                None if p.numeric is None else p.numeric.tolist(),
             )
 
         schema = (

@@ -3,8 +3,12 @@
 The syntactic-profiling substrate shared by both baselines: Aurum's
 column profiles are MinHash sketches whose estimated Jaccard similarity
 drives its relationship graph; D3L's value-extent signal is the same
-sketch. Signatures use the standard ``(a·h(v) + b) mod p`` permutation
-family over crc32 value hashes — deterministic across processes.
+sketch. Each of the ``n_perm`` hash functions maps a value's crc32 ``h``
+to the low 32 bits of ``a·h + b`` computed in wrapping int64 arithmetic,
+with ``a`` and ``b`` drawn below the Mersenne prime 2⁶¹−1. That is
+deterministic across processes but not the ``(a·h + b) mod p``
+permutation family: only ``a`` and ``h`` modulo 2³² reach the result,
+and an even ``a`` discards high bits of ``h``.
 
 Note these operate on **raw** value strings (no normalization): that is
 the point of the syntactic baselines, and why formatting variants break
@@ -13,10 +17,8 @@ them where embeddings survive.
 from __future__ import annotations
 
 import zlib
-from typing import Iterator
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.corpus.tablegen import apply_per_column
@@ -54,11 +56,7 @@ def minhash_signature(
     h = value_hashes(values)
     if h.size == 0:
         return None
-    # (V, P) permuted hashes → column-wise min. Use Python-int modulus via
-    # object dtype only if needed; int64 overflow is avoided by reducing
-    # a·h mod p with int128-free trick: numpy int64 wraps, so compute in
-    # float-free int64 with masking — acceptable since we only need a
-    # deterministic permutation family, not the exact Mersenne field.
+    # (V, P) hashes: the int64 product wraps, and the mask keeps its low 32 bits.
     perm = (h[:, None] * a[None, :] + b[None, :]) & _MAX_HASH
     return perm.min(axis=0)
 
@@ -72,16 +70,9 @@ def minhash_signatures_df(cells: DataFrame) -> DataFrame:
     """``(col_id, signature)`` for every column of a long cells frame."""
     a, b = permutation_params(N_PERM, PERM_SEED)
 
-    def _sig(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-        sig = minhash_signature(pdf["value"].tolist(), a, b)
-        if sig is None:
-            return pd.DataFrame(
-                {
-                    "col_id": pd.Series([], dtype=str),
-                    "signature": pd.Series([], dtype=object),
-                }
-            )
-        return pd.DataFrame({"col_id": [key[0]], "signature": [sig.tolist()]})
+    def _sig(col_id: str, values: list) -> tuple | None:
+        sig = minhash_signature(values, a, b)
+        return None if sig is None else (col_id, sig.tolist())
 
     return apply_per_column(cells, _sig, "col_id string, signature array<long>")
 

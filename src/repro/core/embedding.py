@@ -3,16 +3,16 @@
 The indexing half of WarpGate: every corpus column is encoded into a
 d-dimensional vector by mean-pooling the token embeddings of its
 *distinct* values (§3.1.1). The heavy lifting — tokenizing and pooling
-millions of cells — runs distributed: the long-format ``(col_id,
-value)`` cells frame is hash-partitioned by ``col_id`` into one
-partition per core, grouped per column, and each column is embedded
-inside an executor by ``EmbeddingModel.embed_values`` over the broadcast
+millions of cells — runs distributed: ``tablegen.apply_per_column``
+hash-partitions the long ``(col_id, value)`` cells frame by ``col_id``
+into one partition per core, sorts each partition by ``col_id`` and
+streams it through one ``mapInPandas``, which embeds each column inside
+an executor with ``EmbeddingModel.embed_values`` over the broadcast
 model.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.corpus.tablegen import apply_per_column
@@ -29,21 +29,9 @@ def embed_columns_df(
     """
     bc = spark.sparkContext.broadcast(model)
 
-    def _embed(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-        m: EmbeddingModel = bc.value
-        vec = m.embed_values(pdf["value"].dropna().tolist())
-        if vec is None:
-            # Object dtype keeps Arrow from seeing an empty float64
-            # column where a list<double> is expected.
-            return pd.DataFrame(
-                {
-                    "col_id": pd.Series([], dtype=str),
-                    "embedding": pd.Series([], dtype=object),
-                }
-            )
-        return pd.DataFrame(
-            {"col_id": [key[0]], "embedding": [vec.astype(float).tolist()]}
-        )
+    def _embed(col_id: str, values: list) -> tuple | None:
+        vec = bc.value.embed_values(values)
+        return None if vec is None else (col_id, vec.astype(float).tolist())
 
     return apply_per_column(cells, _embed, "col_id string, embedding array<double>")
 

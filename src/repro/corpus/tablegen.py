@@ -11,7 +11,9 @@ over driver-held rows that runs no Spark job, so it is cheaper than the
 paper's CDW scan), and row sampling shortens it as §3.1.3 describes.
 Index builds read the whole corpus as one long ``(col_id, value)``
 frame (:meth:`Warehouse.cells_long_df`), made from the same driver-held
-rows. A ``col_id`` is resolved only through :attr:`CorpusSpec.columns`.
+rows, which all three systems reduce to one row per column with
+:func:`apply_per_column`. A ``col_id`` is resolved only through
+:attr:`CorpusSpec.columns`.
 
 Column kinds:
 
@@ -26,10 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, groupby
+from operator import itemgetter
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.types import StructType
 
 from repro.corpus.domains import FORMATS, DomainUniverse
 
@@ -312,15 +317,31 @@ class Warehouse:
 
 
 def apply_per_column(cells: DataFrame, fn, schema: str) -> DataFrame:
-    """``fn(key, pdf)`` once per column of a long ``(col_id, value)``
-    cells frame, as ``groupBy("col_id").applyInPandas(fn, schema)``.
+    """One row of ``schema`` per column of a long ``(col_id, value)``
+    frame: ``fn(col_id, values)`` gets the column's non-null cells in
+    stage order and returns a row tuple, or ``None`` to drop the column.
 
-    The cells are first hash-partitioned by ``col_id`` into
-    ``defaultParallelism`` partitions, so the stage runs one task per
-    core: adaptive execution coalesces the groupBy's own shuffle by size
-    (a few MB of cells become 1–2 tasks) but keeps a repartition whose
-    count is given, and the groupBy reuses that partitioning instead of
-    shuffling again.
+    One task per core: the cells are hash-partitioned by ``col_id`` into
+    ``defaultParallelism`` partitions (adaptive execution keeps a count
+    that is given) and sorted by ``col_id``; ``mapInPandas`` chains each
+    partition's Arrow batches and calls ``fn`` once per run of equal
+    ``col_id``s, which may span batches. The keys are Column objects: a
+    name goes through ``functions.col``, whose call-site capture imports
+    IPython.
     """
+    names = StructType.fromDDL(schema).names
+
+    def run(batches):
+        pairs = chain.from_iterable(
+            zip(b["col_id"].tolist(), b["value"].tolist()) for b in batches
+        )
+        rows = []
+        for col_id, group in groupby(pairs, key=itemgetter(0)):
+            row = fn(col_id, [v for _, v in group if v is not None])
+            if row is not None:
+                rows.append(row)
+        yield pd.DataFrame.from_records(rows, columns=names)
+
     n = cells.sparkSession.sparkContext.defaultParallelism
-    return cells.repartition(n, "col_id").groupBy("col_id").applyInPandas(fn, schema)
+    key = cells["col_id"]
+    return cells.repartition(n, key).sortWithinPartitions(key).mapInPandas(run, schema)

@@ -100,7 +100,8 @@ def test_sampling_stability_of_embeddings(spark, xs_corpus, model):
 def test_embed_stage_runs_one_task_per_core(spark, tied_warehouse, model):
     """The embed stage runs ``defaultParallelism`` tasks: adaptive
     execution would coalesce a size-based shuffle of a few cells into one
-    task, but not the ``col_id`` repartition that precedes the groupBy."""
+    task, but not the ``col_id`` repartition that precedes the sorted
+    ``mapInPandas``."""
     sc = spark.sparkContext
     sc.setJobGroup("embed-stage", "embed-stage")
     try:

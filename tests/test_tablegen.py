@@ -257,3 +257,89 @@ def test_cells_are_the_strings_load_column_returns(xs_corpus):
             loaded = load_column(wh, cid, sample=sample)
             want = sorted(str(v) for v in loaded if v is not None and v == v)
             assert got.get(cid, []) == want, (cid, sample)
+
+
+def _stage_rows(spark, model, wh) -> dict:
+    """Each system's per-column stage output over ``wh``, as comparable
+    rows."""
+    from repro.baselines.d3l import D3L
+    from repro.baselines.minhash import minhash_signatures_df
+    from repro.core.embedding import embed_columns_df
+
+    cells = wh.cells_long_df()
+    d3l = D3L(model=model)
+    d3l.build_index(wh)
+    return {
+        "embedding": [
+            (r["col_id"], np.float32(r["embedding"]).tolist())
+            for r in embed_columns_df(spark, cells, model).collect()
+        ],
+        "minhash": [tuple(r) for r in minhash_signatures_df(cells).collect()],
+        "d3l": [_profile_row(p) for p in d3l.profiles.values()],
+    }
+
+
+def _profile_row(p) -> tuple:
+    return (
+        p.col_id,
+        sorted(p.name_grams),
+        None if p.minhash is None else p.minhash.tolist(),
+        None if p.embedding is None else p.embedding.tolist(),
+        sorted(p.patterns),
+        None if p.numeric is None else p.numeric.tolist(),
+    )
+
+
+def _driver_rows(model, wh) -> dict:
+    """The same rows computed on the driver, one column at a time, from
+    the values ``load_column`` returns."""
+    from repro.baselines.d3l import build_profile
+    from repro.baselines.minhash import (
+        N_PERM, PERM_SEED, minhash_signature, permutation_params,
+    )
+
+    a, b = permutation_params(N_PERM, PERM_SEED)
+    out: dict = {"embedding": [], "minhash": [], "d3l": []}
+    for cid, (_, c) in sorted(wh.spec.columns.items()):
+        values = load_column(wh, cid)
+        vec = model.embed_values([v for v in values if v is not None])
+        if vec is not None:
+            out["embedding"].append((cid, vec.tolist()))
+        sig = minhash_signature(values, a, b)
+        if sig is not None:
+            out["minhash"].append((cid, sig.tolist()))
+        out["d3l"].append(_profile_row(build_profile(cid, c.name, values, model, a, b)))
+    return out
+
+
+@pytest.mark.parametrize("case", ["batches_of_3", "one_column", "all_null_column"])
+def test_stage_rows_match_driver_side(spark, model, uni, case):
+    """Embeddings, MinHash signatures and D3L profiles from the per-column
+    stage equal the driver's bit for bit, one row per column: when every
+    column spans several 3-row Arrow batches, when one column leaves most
+    partitions empty, and next to a column that is all null (which only
+    D3L keeps)."""
+    dom = uni.domains[0].name
+    cols = [
+        ColumnSpec(name="ent", kind="entity", domain=dom),
+        ColumnSpec(name="day", kind="date"),
+        ColumnSpec(name="note", kind="text", domain=uni.domains[1].name),
+    ]
+    if case == "one_column":
+        cols = cols[:1]
+    if case == "all_null_column":
+        cols.append(ColumnSpec(name="gone", kind="entity", domain=dom, null_frac=1.0))
+    n_tables = 1 if case == "one_column" else 2
+    tables = [TableSpec("db", f"t{i}", 20 - 9 * i, tuple(cols)) for i in range(n_tables)]
+    wh = Warehouse(spark, CorpusSpec(name=case, tables=tables), uni)
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    old = spark.conf.get(key)
+    if case == "batches_of_3":
+        spark.conf.set(key, "3")
+    try:
+        got = _stage_rows(spark, model, wh)
+    finally:
+        spark.conf.set(key, old)
+    want = _driver_rows(model, wh)
+    for system in want:
+        assert sorted(got[system]) == want[system], system

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -127,16 +130,72 @@ def _top10_digest(results) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _assert_top10_lists_match_digest(system, name, spec) -> None:
+    expected = json.loads(
+        (Path(__file__).parent / "xs_top10_digest.json").read_text()
+    )[name]
+    got = {c: _top10_digest(system.query(c, k=10)[0]) for c in spec.column_ids()}
+    assert set(got) == set(expected)
+    changed = sorted(c for c in got if got[c] != expected[c])
+    assert not changed, f"{len(changed)} {name} top-10 lists changed, e.g. {changed[:5]}"
+
+
 def test_xs_top10_lists_match_checked_in_digest(warpgate_xs, xs_corpus):
     """Every XS top-10 list (ids and scores to 6 places) equals the one
     recorded in ``xs_top10_digest.json`` under the fixed seeds. Recall is
     already 1.0 on S, so this is what catches a ranking change. A change
     that moves rankings on purpose regenerates the file and says why."""
-    spec, _ = xs_corpus
-    expected = json.loads(
-        (Path(__file__).parent / "xs_top10_digest.json").read_text()
+    _assert_top10_lists_match_digest(warpgate_xs, "warpgate", xs_corpus[0])
+
+
+def test_xs_aurum_top10_lists_match_checked_in_digest(aurum_xs, xs_corpus):
+    """Aurum's XS neighbor lists, the output of its MinHash profiling
+    stage, equal the recorded ones."""
+    _assert_top10_lists_match_digest(aurum_xs, "aurum", xs_corpus[0])
+
+
+def test_xs_d3l_top10_lists_match_checked_in_digest(d3l_xs, xs_corpus):
+    """D3L's XS top-10 lists, ranked over its profiling stage's output,
+    equal the recorded ones."""
+    _assert_top10_lists_match_digest(d3l_xs, "d3l", xs_corpus[0])
+
+
+_BUILD_AND_QUERY = """
+import sys
+from pyspark.sql import SparkSession
+from repro.core.warpgate import WarpGate
+from repro.corpus.domains import default_universe
+from repro.corpus.tablegen import ColumnSpec, CorpusSpec, TableSpec, Warehouse
+from repro.embed_model.pretrained import pretrained_model
+
+spark = SparkSession.builder.getOrCreate()
+uni = default_universe()
+cols = (ColumnSpec("e", "entity", domain=uni.domains[0].name), ColumnSpec("i", "id"))
+tables = [TableSpec("db", f"t{i}", 30, cols) for i in range(3)]
+wg = WarpGate(model=pretrained_model(spark))
+wg.build_index(Warehouse(spark, CorpusSpec(name="tiny", tables=tables), uni))
+assert wg.query("db.t0.e", k=3)[0]
+print("IPython" in sys.modules)
+spark.stop()
+"""
+
+
+def test_build_and_query_keep_ipython_out_of_the_driver():
+    """A WarpGate build and query never import IPython into the driver.
+    Passing a column *name* to a sort goes through
+    ``pyspark.sql.functions.col``, whose call-site capture imports it
+    (about 17 MB of driver RSS). Checked in a fresh interpreter, because
+    other tests in this session call ``functions.col`` themselves."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        PYSPARK_SUBMIT_ARGS="--master local[2] --driver-memory 1g "
+        "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false pyspark-shell",
     )
-    got = {c: _top10_digest(warpgate_xs.query(c, k=10)[0]) for c in spec.column_ids()}
-    assert set(got) == set(expected)
-    changed = sorted(c for c in got if got[c] != expected[c])
-    assert not changed, f"{len(changed)} top-10 lists changed, e.g. {changed[:5]}"
+    out = subprocess.run(
+        [sys.executable, "-c", _BUILD_AND_QUERY],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip().splitlines()[-1] == "False"
