@@ -21,7 +21,7 @@ import zlib
 import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.corpus.tablegen import apply_per_column
+from repro.corpus.tablegen import apply_per_column, collect_per_column
 
 _MERSENNE = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
@@ -78,11 +78,7 @@ def minhash_signatures_df(cells: DataFrame) -> DataFrame:
 
 
 def collect_signatures(sig_df: DataFrame) -> tuple[list[str], np.ndarray]:
-    rows = sig_df.collect()
-    ids = [r["col_id"] for r in rows]
-    if not ids:
-        return [], np.zeros((0, 0), dtype=np.int64)
-    return ids, np.array([r["signature"] for r in rows], dtype=np.int64)
+    return collect_per_column(sig_df, "signature", np.int64)
 
 
 def pairwise_jaccard(sigs: np.ndarray) -> np.ndarray:

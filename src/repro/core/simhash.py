@@ -40,6 +40,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core.embedding import collect_embeddings
+from repro.corpus.tablegen import require_unique_col_ids
 
 
 def bit_agreement_probability(cos_sim: float) -> float:
@@ -145,9 +146,11 @@ class SimHashIndex:
         return packed.view(f"u{packed.shape[-1]}")[..., 0]
 
     def add_batch(self, ids: list[str], mat: np.ndarray, sigs: np.ndarray) -> None:
-        """Fill an empty index with pre-signed, finite vectors."""
+        """Fill an empty index with pre-signed, finite vectors, one per
+        col_id."""
         if self.ids:
             raise ValueError("add_batch fills an empty index")
+        require_unique_col_ids(ids)
         mat = np.asarray(mat, dtype=np.float32)
         if not np.isfinite(mat).all():
             raise ValueError("index vectors must be finite")

@@ -33,10 +33,6 @@ AVG_ROWS = 2_243_932
 
 _DBS = ["salesforce", "stocks", "retail", "census", "cloudlogs", "finance"]
 
-# The §4.3.3 narrative columns (db, table, column, domain-kind, fmt, slice).
-_COMPANY_DOMAIN_IDX = 0  # resolved to the first company_* domain
-_TICKER_DOMAIN_IDX = 1  # resolved to the first finance_* domain
-
 
 def build_sigma_spec(
     *,

@@ -10,10 +10,10 @@ warehouse. All discovery systems read columns *through* the warehouse
 over driver-held rows that runs no Spark job, so it is cheaper than the
 paper's CDW scan), and row sampling shortens it as §3.1.3 describes.
 Index builds read the whole corpus as one long ``(col_id, value)``
-frame (:meth:`Warehouse.cells_long_df`), made from the same driver-held
-rows, which all three systems reduce to one row per column with
-:func:`apply_per_column`. A ``col_id`` is resolved only through
-:attr:`CorpusSpec.columns`.
+frame (:meth:`Warehouse.cells_long_df`) made from the same driver-held
+rows, each column whole in one partition, which all three systems reduce
+to one row per column with :func:`apply_per_column`, with no shuffle. A
+``col_id`` is resolved only through :attr:`CorpusSpec.columns`.
 
 Column kinds:
 
@@ -26,6 +26,7 @@ Column kinds:
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
@@ -33,6 +34,7 @@ from operator import itemgetter
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import StructType
 
@@ -201,19 +203,11 @@ def materialize_column(
             + _STOPWORDS * max(1, round(1.5 * len(dom.lexicon) / len(_STOPWORDS))),
             dtype=object,
         )
-        # Vectorized 3–8-word sentences: draw a (n_rows, 8) word matrix,
-        # then blank out the tail beyond each row's length.
+        # 3–8-word sentences: each row's first ``len`` words of a
+        # (n_rows, 8) word matrix.
         words = lex[g.integers(0, len(lex), (n_rows, 8))]
         lens = g.integers(3, 9, n_rows)
-        parts = [
-            np.where(lens > j, words[:, j], "") for j in range(8)
-        ]
-        joined = parts[0]
-        for p in parts[1:]:
-            joined = np.char.add(
-                joined.astype(str), np.where(p == "", "", np.char.add(" ", p.astype(str)))
-            )
-        out = pd.Series(joined)
+        out = pd.Series([" ".join(w[:n]) for w, n in zip(words, lens)], dtype=object)
     else:  # pragma: no cover - spec construction guards this
         raise ValueError(f"unknown column kind {spec.kind!r}")
     if spec.null_frac > 0:
@@ -274,38 +268,15 @@ class Warehouse:
         sample: int | None = None,
         include_columns: set[str] | None = None,
     ) -> DataFrame:
-        """Long-format ``(col_id, value)`` DataFrame over the corpus, the
-        input of every index build.
-
-        One ``createDataFrame`` over the rows the warehouse holds: each
-        column's first ``sample`` rows (all of them when ``sample`` is
-        None), null and NaN as null and every other value as ``str(v)``,
-        the text :meth:`EmbeddingModel.embed_values` makes of what
-        :func:`repro.core.sampling.load_column` returns, so the build and
-        the query see the same strings. ``include_columns`` restricts the
-        frame to the given col_ids.
-        """
-        cols = [
+        """The :func:`cells_frame` of each column's first ``sample`` rows
+        (all of them when ``sample`` is None) in :attr:`CorpusSpec.columns`
+        order, the input of every index build. ``include_columns``
+        restricts it to the given col_ids."""
+        return cells_frame(self.spark, [
             (cid, self._pdfs[t.table_id][c.name].iloc[:sample])
             for cid, (t, c) in self.spec.columns.items()
             if include_columns is None or cid in include_columns
-        ]
-        lengths = [len(s) for _, s in cols]
-        # One object array filled in place and a categorical col_id hold
-        # one reference per cell on the driver: on testbedM at bench scale
-        # (16.6M cells), a frame built from two lists peaked 570 MB higher.
-        values = np.empty(sum(lengths), dtype=object)
-        for (_, s), end in zip(cols, np.cumsum(lengths)):
-            values[end - len(s) : end] = [
-                str(v) if ok else None
-                for v, ok in zip(s.tolist(), s.notna().tolist())
-            ]
-        col_id = pd.Categorical.from_codes(
-            np.repeat(np.arange(len(cols), dtype=np.int32), lengths),
-            [cid for cid, _ in cols],
-        )
-        cells = pd.DataFrame({"col_id": col_id, "value": values}, copy=False)
-        return self.spark.createDataFrame(cells, "col_id string, value string")
+        ])
 
     def entity_column_ids(self) -> list[str]:
         return [
@@ -316,18 +287,55 @@ class Warehouse:
         ]
 
 
-def apply_per_column(cells: DataFrame, fn, schema: str) -> DataFrame:
-    """One row of ``schema`` per column of a long ``(col_id, value)``
-    frame: ``fn(col_id, values)`` gets the column's non-null cells in
-    stage order and returns a row tuple, or ``None`` to drop the column.
+def _cell_strings(values) -> list[str | None]:
+    s = pd.Series(values, dtype=object)
+    return [str(v) if ok else None for v, ok in zip(s.tolist(), s.notna().tolist())]
 
-    One task per core: the cells are hash-partitioned by ``col_id`` into
-    ``defaultParallelism`` partitions (adaptive execution keeps a count
-    that is given) and sorted by ``col_id``; ``mapInPandas`` chains each
-    partition's Arrow batches and calls ``fn`` once per run of equal
-    ``col_id``s, which may span batches. The keys are Column objects: a
-    name goes through ``functions.col``, whose call-site capture imports
-    IPython.
+
+def cells_frame(spark: SparkSession, columns: list[tuple[str, object]]) -> DataFrame:
+    """The long ``(col_id, value)`` frame of ``(col_id, values)`` pairs,
+    each column whole in one partition. A cell is ``None`` where its value
+    is null or NaN and ``str(v)`` otherwise, in row order: the text
+    :meth:`EmbeddingModel.embed_values` makes of what
+    :func:`repro.core.sampling.load_column` returns.
+
+    The columns become Arrow rows ``(col_id, values)``, cut at column
+    boundaries into at most two record batches per core of about equal
+    cell counts, then exploded. Under Arrow's ``localRelationThreshold``
+    Spark slices that relation by rows (columns) into one partition per
+    core; above it, it makes one partition per batch.
+    """
+    schema = pa.schema([("col_id", pa.string()), ("values", pa.list_(pa.string()))])
+    cum = np.cumsum([len(v) for _, v in columns])
+    # A partition above the threshold is shipped inside its task: with one
+    # batch per core, a quarter of testbedM's cells per task ran a 2g
+    # driver out of heap in 2 of 5 builds.
+    n = 2 * spark.sparkContext.defaultParallelism
+    cuts = np.searchsorted(cum, (cum[-1] if columns else 0) * np.arange(1, n) / n) + 1
+    edges = np.unique(np.r_[0, np.minimum(cuts, len(columns)), len(columns)])
+    # Spark rejects an Arrow table without batches: no columns, one empty batch.
+    parts = [columns[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])] or [[]]
+    # A batch's strings exist only while it is made: the driver never
+    # holds every cell as a Python object.
+    batches = (
+        pa.RecordBatch.from_pydict(
+            {"col_id": [c for c, _ in part], "values": [_cell_strings(v) for _, v in part]},
+            schema=schema,
+        )
+        for part in parts
+    )
+    table = pa.Table.from_batches(batches, schema)
+    return spark.createDataFrame(table).selectExpr("col_id", "explode(values) AS value")
+
+
+def apply_per_column(cells: DataFrame, fn, schema: str) -> DataFrame:
+    """One row of ``schema`` per column of a :func:`cells_frame`:
+    ``fn(col_id, values)`` gets the column's non-null cells in row order
+    and returns a row tuple, or ``None`` to drop the column.
+
+    One ``mapInPandas``, no shuffle: it chains each partition's Arrow
+    batches and calls ``fn`` once per run of equal ``col_id``s, which may
+    span batches. A column split across partitions comes out twice.
     """
     names = StructType.fromDDL(schema).names
 
@@ -342,6 +350,21 @@ def apply_per_column(cells: DataFrame, fn, schema: str) -> DataFrame:
                 rows.append(row)
         yield pd.DataFrame.from_records(rows, columns=names)
 
-    n = cells.sparkSession.sparkContext.defaultParallelism
-    key = cells["col_id"]
-    return cells.repartition(n, key).sortWithinPartitions(key).mapInPandas(run, schema)
+    return cells.mapInPandas(run, schema)
+
+
+def require_unique_col_ids(ids: list[str]) -> None:
+    """Raise ``ValueError`` naming every col_id that appears more than once."""
+    if dup := sorted(c for c, n in Counter(ids).items() if n > 1):
+        raise ValueError(f"col_ids appear more than once: {dup}")
+
+
+def collect_per_column(rows: DataFrame, field: str, dtype) -> tuple[list[str], np.ndarray]:
+    """``(col_ids, matrix)`` of an :func:`apply_per_column` frame whose
+    ``field`` holds one array per column, in one Spark action."""
+    pdf = rows.toPandas()
+    ids = pdf["col_id"].tolist()
+    require_unique_col_ids(ids)
+    if not ids:
+        return [], np.zeros((0, 0), dtype=dtype)
+    return ids, np.array(pdf[field].tolist(), dtype=dtype)

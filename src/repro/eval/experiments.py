@@ -5,7 +5,7 @@ experiments; ``jobs/*.py`` wraps them for spark-submit and
 ``benchmarks/*`` wraps them for pytest-benchmark, so both produce the
 same rows.
 
-Scales: the paper's corpora are ~100x larger than what a 16-core local
+Scales: the paper's corpora are ~100x larger than what a 4-core local
 Spark can sweep in CI, so every driver takes ``rows_scale`` /
 ``size_scale`` knobs. Defaults below ("bench scale") keep the S→M
 average-row ratio at the paper's ~15x, which is what Table 2's
@@ -28,7 +28,7 @@ from repro.corpus.tablegen import CorpusSpec, Warehouse
 from repro.embed_model.bertlike import BertLikeModel
 from repro.embed_model.model import EmbeddingModel
 from repro.embed_model.pretrained import pretrained_model
-from repro.eval.harness import RunResult, run_all_systems, run_queries
+from repro.eval.harness import TIMED_PASSES, RunResult, run_all_systems, timed_runs
 from repro.eval import tables as T
 
 # Bench-scale defaults (see module docstring / DESIGN.md §4).
@@ -124,13 +124,16 @@ def experiment_table2(
     datasets: tuple[str, ...] = ("S", "M"),
     max_queries: int | None = 30,
 ) -> tuple[pd.DataFrame, dict[str, dict[str, RunResult]]]:
-    """Table 2: end-to-end query response time (k=10), full values."""
+    """Table 2: end-to-end query response time (k=10), full values, from
+    each system's median pass."""
     per_ds: dict[str, dict[str, RunResult]] = {}
     for ds in datasets:
         spec, wh = ctx.corpus(ds)
-        per_ds[f"testbed{ds}"] = run_all_systems(
-            ctx.systems(), wh, spec, k=10, max_queries=max_queries
-        )
+        per_ds[f"testbed{ds}"] = runs = {}
+        for name, system in ctx.systems().items():
+            system.build_index(wh)
+            passes = timed_runs(system, name, spec.queries, max_queries=max_queries)
+            runs[name] = passes[TIMED_PASSES // 2]
     return T.table2(per_ds), per_ds
 
 
@@ -142,52 +145,33 @@ def experiment_sample_efficiency(
     max_queries: int | None = 30,
     include_bertlike: bool = False,
     bertlike_samples: tuple[int, ...] = (100,),
-    full_systems: dict[str, WarpGate] | None = None,
+    full_runs: dict[str, RunResult] | None = None,
 ) -> pd.DataFrame:
-    """§4.4: WarpGate effectiveness/efficiency across sample sizes.
+    """§4.4: WarpGate effectiveness/efficiency across sample sizes, each
+    row from its median pass.
 
     Optionally repeats selected sample sizes with the BERT-like model to
     reproduce the quality-parity / ~10x-inference-cost finding.
-    ``full_systems`` supplies already-indexed full-value WarpGate
-    instances per dataset (benchmarks reuse Table 2's index builds).
+    ``full_runs`` supplies the full-value rows per dataset already
+    measured (benchmarks read Table 2's).
     """
     rows: list[tuple[str, str, float, float, float, float]] = []
-
-    def run(wg: WarpGate, name: str, ds: str, label: str) -> None:
-        spec, _ = ctx.corpus(ds)
-        # One untimed pass first, so no first-call cost lands on
-        # whichever sample size happens to run first.
-        run_queries(wg, name, spec.queries, k=10, max_queries=max_queries)
-        rr = run_queries(wg, name, spec.queries, k=10, max_queries=max_queries)
-        pr = rr.pr(ks=[10])[0]
-        rows.append(
-            (
-                f"testbed{ds}",
-                label,
-                round(pr.precision, 3),
-                round(pr.recall, 3),
-                round(rr.avg_lookup_s, 4),
-                round(rr.avg_e2e_s, 4),
-            )
-        )
-
     for ds in datasets:
-        _, wh = ctx.corpus(ds)
-        for sample in sample_sizes:
-            if sample is None and full_systems and ds in full_systems:
-                wg = full_systems[ds]
-            else:
-                wg = WarpGate(
-                    model=ctx.model, config=WarpGateConfig(sample=sample)
-                )
-                wg.build_index(wh)
-            run(wg, "WarpGate", ds, "full" if sample is None else str(sample))
+        spec, wh = ctx.corpus(ds)
+        runs = [(ctx.model, "WarpGate", s, "full" if s is None else str(s)) for s in sample_sizes]
         if include_bertlike:
             bert = BertLikeModel(base=ctx.model)
-            for sample in bertlike_samples:
-                wg = WarpGate(model=bert, config=WarpGateConfig(sample=sample))
+            runs += [(bert, "WarpGate-BERT", s, f"bert:{s}") for s in bertlike_samples]
+        for model, name, sample, label in runs:
+            if label == "full" and ds in (full_runs or {}):
+                rr = full_runs[ds]
+            else:
+                wg = WarpGate(model=model, config=WarpGateConfig(sample=sample))
                 wg.build_index(wh)
-                run(wg, "WarpGate-BERT", ds, f"bert:{sample}")
+                rr = timed_runs(wg, name, spec.queries, max_queries=max_queries)[TIMED_PASSES // 2]
+            pr = rr.pr(ks=[10])[0]
+            rows.append((f"testbed{ds}", label, round(pr.precision, 3), round(pr.recall, 3),
+                         round(rr.avg_lookup_s, 4), round(rr.avg_e2e_s, 4)))
     return T.sample_efficiency_table(rows)
 
 

@@ -2,32 +2,27 @@
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pytest
 import pyspark.sql.functions as F
 
 from repro.core.embedding import collect_embeddings, embed_columns_df
 from repro.core.sampling import load_column
+from repro.corpus.tablegen import cells_frame
 from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
-def cells_pdf():
-    return pd.DataFrame(
-        {
-            "col_id": ["X"] * 3 + ["Y"] * 3 + ["Z"] * 2,
-            "value": [
-                "Acme Corp", "Beta Inc", "Acme Corp",
-                "red", "blue", "green",
-                None, "",
-            ],
-        }
-    )
+def columns():
+    return [
+        ("X", ["Acme Corp", "Beta Inc", "Acme Corp"]),
+        ("Y", ["red", "blue", "green"]),
+        ("Z", [None, ""]),
+    ]
 
 
 @pytest.fixture(scope="module")
-def emb_df(spark, cells_pdf, model):
-    return embed_columns_df(spark, spark.createDataFrame(cells_pdf), model)
+def emb_df(spark, columns, model):
+    return embed_columns_df(spark, cells_frame(spark, columns), model)
 
 
 def test_one_row_per_nonempty_column(emb_df):
@@ -35,12 +30,11 @@ def test_one_row_per_nonempty_column(emb_df):
     assert rows == {"X", "Y"}  # Z is all-null/empty → dropped
 
 
-def test_matches_driver_side_embedding(emb_df, cells_pdf, model):
+def test_matches_driver_side_embedding(emb_df, columns, model):
     """The distributed pipeline computes exactly model.embed_values."""
     got = {r["col_id"]: np.array(r["embedding"]) for r in emb_df.collect()}
-    for cid in ("X", "Y"):
-        vals = cells_pdf[cells_pdf["col_id"] == cid]["value"].dropna().tolist()
-        expected = model.embed_values(vals)
+    for cid, values in columns[:2]:
+        expected = model.embed_values(values)
         assert np.allclose(got[cid], expected, atol=1e-6)
 
 
@@ -98,10 +92,10 @@ def test_sampling_stability_of_embeddings(spark, xs_corpus, model):
 
 
 def test_embed_stage_runs_one_task_per_core(spark, tied_warehouse, model):
-    """The embed stage runs ``defaultParallelism`` tasks: adaptive
-    execution would coalesce a size-based shuffle of a few cells into one
-    task, but not the ``col_id`` repartition that precedes the sorted
-    ``mapInPandas``."""
+    """The embed stage runs ``defaultParallelism`` tasks: the six
+    one-column tables make six Arrow rows, which Spark slices into one
+    partition per core, and the ``mapInPandas`` reads those partitions
+    with no shuffle in between."""
     sc = spark.sparkContext
     sc.setJobGroup("embed-stage", "embed-stage")
     try:
@@ -116,14 +110,19 @@ def test_embed_stage_runs_one_task_per_core(spark, tied_warehouse, model):
     assert tracker.getStageInfo(embed_stage).numTasks == sc.defaultParallelism
 
 
-def test_cells_read_stage_runs_one_task_per_core(spark, xs_corpus, model):
+def test_cells_read_stage_runs_one_task_per_core(spark, xs_corpus, model, capsys):
     """The stage that reads the cells of all 28 XS tables runs
-    ``defaultParallelism`` tasks, not a few per table."""
+    ``defaultParallelism`` tasks, not a few per table, and the build plan
+    has no shuffle and no sort."""
     _, wh = xs_corpus
     sc = spark.sparkContext
+    emb = embed_columns_df(spark, wh.cells_long_df(), model)
+    emb.explain()
+    plan = capsys.readouterr().out
+    assert "Exchange" not in plan and "Sort" not in plan, plan
     sc.setJobGroup("cells-read", "cells-read")
     try:
-        collect_embeddings(embed_columns_df(spark, wh.cells_long_df(), model))
+        collect_embeddings(emb)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     tracker = sc.statusTracker()

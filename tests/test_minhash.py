@@ -17,6 +17,7 @@ from repro.baselines.minhash import (
     permutation_params,
     value_hashes,
 )
+from repro.corpus.tablegen import cells_frame
 from repro.oracle import assert_equivalent
 
 
@@ -75,14 +76,9 @@ def test_estimate_tracks_true_jaccard(perms, overlap):
 
 
 def test_signatures_df_matches_driver(spark, perms):
-    cells = pd.DataFrame(
-        {
-            "col_id": ["A"] * 3 + ["B"] * 2,
-            "value": ["x", "y", "z", "x", "w"],
-        }
-    )
+    cells = cells_frame(spark, [("A", ["x", "y", "z"]), ("B", ["x", "w"])])
     a, b = permutation_params(N_PERM, PERM_SEED)
-    ids, sigs = collect_signatures(minhash_signatures_df(spark.createDataFrame(cells)))
+    ids, sigs = collect_signatures(minhash_signatures_df(cells))
     got = dict(zip(ids, sigs))
     assert np.array_equal(got["A"], minhash_signature(["x", "y", "z"], a, b))
     assert np.array_equal(got["B"], minhash_signature(["x", "w"], a, b))

@@ -300,6 +300,14 @@ def test_add_batch_fills_empty_index_only(random_index):
         idx.add_batch(["x"], mat[:1], signature(mat[:1], idx.planes))
 
 
+def test_add_batch_rejects_a_duplicate_id():
+    mat = np.eye(3, 8, dtype=np.float32)
+    idx = SimHashIndex(dim=8, n_bits=32)
+    with pytest.raises(ValueError, match="'b'"):
+        idx.add_batch(["b", "a", "b"], mat, signature(mat, idx.planes))
+    assert idx.ids == []
+
+
 def test_zero_vector_in_index_scores_zero():
     g = np.random.default_rng(14)
     mat = g.standard_normal((6, 8)).astype(np.float32)

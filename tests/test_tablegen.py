@@ -192,6 +192,10 @@ def test_cells_long_df_sampled(small_wh):
     assert n == 5 * 5 + 5 * 3
 
 
+def test_cells_long_df_of_no_columns_is_empty(small_wh):
+    assert small_wh.cells_long_df(include_columns=set()).count() == 0
+
+
 def test_cells_values_stringified(small_wh):
     row = small_wh.cells_long_df().first()
     assert isinstance(row["value"], str)
@@ -312,13 +316,18 @@ def _driver_rows(model, wh) -> dict:
     return out
 
 
-@pytest.mark.parametrize("case", ["batches_of_3", "one_column", "all_null_column"])
+@pytest.mark.parametrize(
+    "case",
+    ["batches_of_3", "one_column", "all_null_column", "above_local_relation_threshold"],
+)
 def test_stage_rows_match_driver_side(spark, model, uni, case):
     """Embeddings, MinHash signatures and D3L profiles from the per-column
     stage equal the driver's bit for bit, one row per column: when every
     column spans several 3-row Arrow batches, when one column leaves most
-    partitions empty, and next to a column that is all null (which only
-    D3L keeps)."""
+    partitions empty, next to a column that is all null (which only D3L
+    keeps), and when the cells frame is past Arrow's local-relation
+    threshold, so that Spark makes one partition per record batch (two per
+    core) rather than one per core."""
     dom = uni.domains[0].name
     cols = [
         ColumnSpec(name="ent", kind="entity", domain=dom),
@@ -332,14 +341,44 @@ def test_stage_rows_match_driver_side(spark, model, uni, case):
     n_tables = 1 if case == "one_column" else 2
     tables = [TableSpec("db", f"t{i}", 20 - 9 * i, tuple(cols)) for i in range(n_tables)]
     wh = Warehouse(spark, CorpusSpec(name=case, tables=tables), uni)
-    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    key, value = {
+        "batches_of_3": ("spark.sql.execution.arrow.maxRecordsPerBatch", "3"),
+        "above_local_relation_threshold": (
+            "spark.sql.execution.arrow.localRelationThreshold", "0"
+        ),
+    }.get(case, ("spark.sql.execution.arrow.maxRecordsPerBatch", None))
     old = spark.conf.get(key)
-    if case == "batches_of_3":
-        spark.conf.set(key, "3")
+    if value is not None:
+        spark.conf.set(key, value)
     try:
         got = _stage_rows(spark, model, wh)
+        n_parts = wh.cells_long_df().rdd.getNumPartitions()
     finally:
         spark.conf.set(key, old)
     want = _driver_rows(model, wh)
     for system in want:
         assert sorted(got[system]) == want[system], system
+    dp = spark.sparkContext.defaultParallelism
+    per_batch = case == "above_local_relation_threshold"
+    assert n_parts == min(2 * dp if per_batch else dp, wh.spec.n_columns)
+
+
+@pytest.mark.parametrize("system", ["embedding", "minhash"])
+def test_split_column_raises(spark, model, system):
+    """A long frame that splits a column across partitions makes the
+    per-column stage emit that column once per partition; collecting the
+    rows raises and names it rather than indexing it twice."""
+    from repro.baselines.minhash import collect_signatures, minhash_signatures_df
+    from repro.core.embedding import embed_columns_df
+    from repro.core.simhash import SimHashIndex
+
+    pdf = pd.DataFrame({"col_id": ["A"] * 4 + ["B"], "value": list("wxyzv")})
+    # Round-robin rows: A's four cells land in both partitions.
+    cells = spark.createDataFrame(pdf).repartition(2)
+    with pytest.raises(ValueError, match="'A'"):
+        if system == "embedding":
+            SimHashIndex.build_from_df(
+                embed_columns_df(spark, cells, model), dim=model.dim
+            )
+        else:
+            collect_signatures(minhash_signatures_df(cells))
