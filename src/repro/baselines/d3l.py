@@ -36,7 +36,7 @@ from repro.baselines.minhash import (
 from repro.core.sampling import load_column
 from repro.core.simhash import SearchResult, check_k
 from repro.core.warpgate import QueryTiming
-from repro.corpus.tablegen import Warehouse, apply_per_column
+from repro.corpus.tablegen import Warehouse, apply_per_column, require_unique_col_ids
 from repro.embed_model.model import EmbeddingModel, cosine
 from repro.embed_model.tokenizer import char_ngrams
 
@@ -194,6 +194,7 @@ class D3L:
         self._perms = permutation_params(N_PERM, PERM_SEED)
         # col_id order, so the stable sort in query breaks ties by col_id.
         pdf = self._profiles_df(warehouse.cells_long_df()).sort_values("col_id")
+        require_unique_col_ids(pdf["col_id"].tolist())
         self.profiles = {p.col_id: p for p in profiles_df_to_list(pdf)}
         self.index_build_s = time.perf_counter() - t0
 

@@ -47,10 +47,10 @@ def load_column(
     """Pull one column's (possibly sampled) values out of the warehouse.
 
     The analogue of a CDW scan, but not a real one: warehouse tables are
-    ``createDataFrame(pandas)`` frames, which Spark plans as a
-    ``LocalTableScan``, so the collect runs no Spark job and costs query
-    planning over rows the driver holds. ``sample`` rows read with
-    ``head`` become a ``LIMIT``.
+    ``createDataFrame`` frames of driver-held Arrow tables, which Spark
+    plans as a ``LocalTableScan``, so the collect runs no Spark job and
+    costs query planning over rows the driver holds. ``sample`` rows read
+    with ``head`` become a ``LIMIT``.
     """
     table, column = warehouse.spec.columns[col_id]
     quoted = column.name.replace("`", "``")

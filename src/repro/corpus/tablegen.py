@@ -2,18 +2,20 @@
 
 A corpus is described declaratively (``CorpusSpec`` → ``TableSpec`` →
 ``ColumnSpec``) and materialized deterministically from seeds. The
-materialized corpus is exposed as a :class:`Warehouse`: a set of Spark
-DataFrames registered per table — the stand-in for a cloud data
-warehouse. All discovery systems read columns *through* the warehouse
-(:func:`repro.core.sampling.load_column`), so every system pays the same
-"data loading" step (pulling a column out of the warehouse; here a plan
-over driver-held rows that runs no Spark job, so it is cheaper than the
-paper's CDW scan), and row sampling shortens it as §3.1.3 describes.
+materialized corpus is exposed as a :class:`Warehouse`: one Spark
+DataFrame per table, made from an Arrow table of its rows — the stand-in
+for a cloud data warehouse. All discovery systems read columns *through*
+the warehouse (:func:`repro.core.sampling.load_column`), so every system
+pays the same "data loading" step (pulling a column out of the
+warehouse; here a plan over driver-held rows that runs no Spark job, so
+it is cheaper than the paper's CDW scan), and row sampling shortens it
+as §3.1.3 describes.
 Index builds read the whole corpus as one long ``(col_id, value)``
 frame (:meth:`Warehouse.cells_long_df`) made from the same driver-held
 rows, each column whole in one partition, which all three systems reduce
-to one row per column with :func:`apply_per_column`, with no shuffle. A
-``col_id`` is resolved only through :attr:`CorpusSpec.columns`.
+to one row per column with :func:`apply_per_column`, with no shuffle;
+:func:`collect_per_column` brings those rows to the driver as one Arrow
+table. A ``col_id`` is resolved only through :attr:`CorpusSpec.columns`.
 
 Column kinds:
 
@@ -35,6 +37,7 @@ from operator import itemgetter
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import StructType
 
@@ -232,9 +235,11 @@ def materialize_table(
 class Warehouse:
     """The materialized corpus, exposed as Spark DataFrames per table.
 
-    Systems read one column with :func:`repro.core.sampling.load_column`
-    (through :meth:`table_df`) and the whole corpus with
-    :meth:`cells_long_df`.
+    Each table's DataFrame is ``createDataFrame`` of the Arrow table of
+    its pandas rows, which has the schema and rows ``createDataFrame`` of
+    the pandas frame has and is made faster. Systems read one column
+    with :func:`repro.core.sampling.load_column` (through
+    :meth:`table_df`) and the whole corpus with :meth:`cells_long_df`.
     """
 
     def __init__(
@@ -248,7 +253,9 @@ class Warehouse:
         for t in spec.tables:
             pdf = materialize_table(t, universe, spec.seed)
             self._pdfs[t.table_id] = pdf
-            self._dfs[t.table_id] = spark.createDataFrame(pdf)
+            self._dfs[t.table_id] = spark.createDataFrame(
+                pa.Table.from_pandas(pdf, preserve_index=False)
+            )
 
     @property
     def tables(self) -> dict[str, DataFrame]:
@@ -361,10 +368,34 @@ def require_unique_col_ids(ids: list[str]) -> None:
 
 def collect_per_column(rows: DataFrame, field: str, dtype) -> tuple[list[str], np.ndarray]:
     """``(col_ids, matrix)`` of an :func:`apply_per_column` frame whose
-    ``field`` holds one array per column, in one Spark action."""
-    pdf = rows.toPandas()
-    ids = pdf["col_id"].tolist()
+    ``field`` holds one array per column, in one Spark action.
+
+    The rows arrive as one Arrow table. Each record batch's arrays are one
+    flat buffer, which is reshaped and written into a preallocated
+    C-contiguous ``(C, d)`` matrix of ``dtype``, so no Python object is
+    made per column or per element and no chunk is copied twice. A null
+    array, or one whose length differs from the first column's, raises
+    ``ValueError`` naming its col_id: the flat buffer would reshape without
+    error yet misalign rows. A null element raises Arrow's ``ValueError``.
+    """
+    table = rows.toArrow()
+    ids = table.column("col_id").to_pylist()
     require_unique_col_ids(ids)
     if not ids:
         return [], np.zeros((0, 0), dtype=dtype)
-    return ids, np.array(pdf[field].tolist(), dtype=dtype)
+    arrays = table.column(field)
+    lengths = pc.list_value_length(arrays).to_pylist()
+    if nulls := [c for c, n in zip(ids, lengths) if n is None]:
+        raise ValueError(f"{field} is null for col_ids {nulls}")
+    d = lengths[0]
+    if ragged := [c for c, n in zip(ids, lengths) if n != d]:
+        raise ValueError(
+            f"{field} of col_ids {ragged} differs in length from {ids[0]!r}'s {d}"
+        )
+    out = np.empty((len(ids), d), dtype=dtype)
+    row = 0
+    for chunk in arrays.chunks:
+        n = len(chunk)
+        out[row : row + n] = chunk.flatten().to_numpy().reshape(n, d)
+        row += n
+    return ids, out

@@ -5,6 +5,8 @@ import numpy as np
 import pandas as pd
 import pytest
 import pyspark.sql.functions as F
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.sampling import load_column
 from repro.corpus.domains import default_universe
@@ -13,6 +15,7 @@ from repro.corpus.tablegen import (
     CorpusSpec,
     TableSpec,
     Warehouse,
+    collect_per_column,
     column_distinct_pool,
     materialize_column,
     materialize_table,
@@ -382,3 +385,136 @@ def test_split_column_raises(spark, model, system):
             )
         else:
             collect_signatures(minhash_signatures_df(cells))
+
+
+def test_d3l_split_column_raises(spark, model, small_wh, monkeypatch):
+    """D3L keys its profiles by col_id: a cells frame that splits a column
+    across partitions raises and names it, rather than keeping whichever
+    partial profile comes last."""
+    from repro.baselines.d3l import D3L
+
+    a, b = "dbA.t0.ent", "dbA.t0.row_id"
+    pdf = pd.DataFrame({"col_id": [a] * 4 + [b], "value": list("wxyzv")})
+    # Round-robin rows: a's four cells land in both partitions.
+    cells = spark.createDataFrame(pdf).repartition(2)
+    monkeypatch.setattr(small_wh, "cells_long_df", lambda: cells)
+    with pytest.raises(ValueError, match=f"'{a}'"):
+        D3L(model=model).build_index(small_wh)
+
+
+def _arrays_frame(spark, rows, dtype):
+    elem = "double" if dtype is np.float32 else "long"
+    return spark.createDataFrame(rows, f"col_id string, v array<{elem}>")
+
+
+def _py(dtype, xs):
+    """Python numbers of the Spark element type for ``dtype``."""
+    return [(float if dtype is np.float32 else int)(x) for x in xs]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_collect_per_column_rejects_ragged_arrays(spark, dtype):
+    """Lengths 2, 1, 3 would reshape cleanly to (3, 2) as one flat buffer;
+    the collect names the columns whose length differs from the first's."""
+    rows = [("a", _py(dtype, [1, 2])), ("b", _py(dtype, [3])), ("c", _py(dtype, [4, 5, 6]))]
+    with pytest.raises(ValueError, match=r"\['b', 'c'\]"):
+        collect_per_column(_arrays_frame(spark, rows, dtype), "v", dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_collect_per_column_rejects_null_arrays(spark, dtype):
+    rows = [("a", _py(dtype, [1, 2])), ("b", None), ("c", _py(dtype, [5, 6]))]
+    with pytest.raises(ValueError, match=r"null for col_ids \['b'\]"):
+        collect_per_column(_arrays_frame(spark, rows, dtype), "v", dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_collect_per_column_of_no_rows(spark, dtype):
+    ids, mat = collect_per_column(_arrays_frame(spark, [], dtype), "v", dtype)
+    assert ids == [] and mat.shape == (0, 0) and mat.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_collect_per_column_across_arrow_chunks(spark, dtype):
+    """Rows collected in several 2-row Arrow chunks fill one C-contiguous
+    matrix equal to a row-by-row conversion of the same rows."""
+    g = np.random.default_rng(3)
+    vals = g.standard_normal((9, 5)) * (1.0 if dtype is np.float32 else 2.0**40)
+    rows = [(f"c{i}", _py(dtype, v)) for i, v in enumerate(vals)]
+    frame = _arrays_frame(spark, rows, dtype).coalesce(2)
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    old = spark.conf.get(key)
+    spark.conf.set(key, "2")
+    try:
+        n_chunks = frame.toArrow().column("v").num_chunks
+        ids, mat = collect_per_column(frame, "v", dtype)
+        ref = frame.collect()
+    finally:
+        spark.conf.set(key, old)
+    assert n_chunks >= 4
+    assert ids == [r["col_id"] for r in ref]
+    assert np.array_equal(mat, np.array([r["v"] for r in ref], dtype=dtype))
+    assert mat.dtype == dtype and mat.flags.c_contiguous
+
+
+def _tables_agree(spark, wh, table_id):
+    """The warehouse's table has the schema ``createDataFrame(pdf)`` gives,
+    and ``load_column`` returns that frame's values for every column."""
+    pdf = wh.table_pdf(table_id)
+    ref = spark.createDataFrame(pdf)
+    assert wh.table_df(table_id).schema == ref.schema, table_id
+    rows = ref.collect()
+    for name in pdf.columns:
+        cid = f"{table_id}.{name}"
+        assert load_column(wh, cid) == [r[name] for r in rows], cid
+
+
+def test_tables_from_arrow_match_tables_from_pandas(spark, xs_corpus, uni):
+    """Warehouse tables are made from Arrow tables, with the schema and
+    values a pandas frame gives: for every XS table, and for a table with
+    an all-null text column and an all-null numeric column."""
+    _, xs = xs_corpus
+    for t in xs.spec.tables:
+        _tables_agree(spark, xs, t.table_id)
+    cols = (
+        ColumnSpec(name="ent", kind="entity", domain=uni.domains[0].name),
+        ColumnSpec(name="gone", kind="entity", domain=uni.domains[0].name, null_frac=1.0),
+        ColumnSpec(name="nan", kind="numeric", null_frac=1.0),
+    )
+    spec = CorpusSpec(name="nulls", tables=[TableSpec("db", "t", 12, cols)])
+    wh = Warehouse(spark, spec, uni)
+    assert wh.table_df("db.t").schema["gone"].dataType.simpleString() == "void"
+    _tables_agree(spark, wh, "db.t")
+
+
+# Names built from the characters that need quoting or resolving.
+_odd_names = st.text(alphabet="ab.'\"` ", min_size=1, max_size=6)
+
+
+@settings(max_examples=8, deadline=None)
+@given(db=_odd_names, table=_odd_names, name=_odd_names)
+def test_odd_identifiers_resolve_everywhere(spark, model, uni, db, table, name):
+    """Any db, table and column name made of dots, quotes, backticks and
+    spaces resolves to the same column in ``CorpusSpec.columns``, the cells
+    frame, ``load_column`` and D3L's name grams."""
+    from repro.baselines.d3l import D3L
+    from repro.embed_model.tokenizer import char_ngrams
+
+    cols = (
+        ColumnSpec(name=name, kind="entity", domain=uni.domains[0].name),
+        # No generated name can be this one, in any case.
+        ColumnSpec(name="id_0", kind="id"),
+    )
+    spec = CorpusSpec(
+        name="odd", tables=[TableSpec(db=db, name=table, n_rows=12, columns=cols)]
+    )
+    wh = Warehouse(spark, spec, uni)
+    cid = f"{db}.{table}.{name}"
+    assert spec.columns[cid][1].name == name
+    loaded = load_column(wh, cid)
+    assert loaded == wh.table_pdf(f"{db}.{table}")[name].tolist()
+    cells = wh.cells_long_df().toPandas()
+    assert sorted(cells.loc[cells["col_id"] == cid, "value"]) == sorted(map(str, loaded))
+    d3l = D3L(model=model)
+    d3l.build_index(wh)
+    assert d3l.profiles[cid].name_grams == set(char_ngrams(name.lower()))
