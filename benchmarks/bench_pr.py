@@ -13,22 +13,23 @@ import pytest
 
 from benchmarks.conftest import BENCH_MAX_QUERIES
 from repro.eval import tables as T
-from repro.eval.harness import run_queries
-from repro.eval.metrics import pr_curve
+from repro.eval.experiments import experiment_fig4
 
 KS = [1, 3, 5, 10]
 
 
-def _pr_run(fixture):
-    spec, _, systems = fixture
-    curves = {}
-    for name, sys_ in systems.items():
-        rr = run_queries(
-            sys_, name, spec.queries, k=10, max_queries=BENCH_MAX_QUERIES
-        )
-        queries = spec.queries[:BENCH_MAX_QUERIES]
-        curves[name] = pr_curve(rr.rankings, queries, KS)
-    return curves
+def _fig4(benchmark, ctx, dataset):
+    """The Fig 4 table and each system's P/R curve. Index builds are
+    setup, not benchmark body."""
+    ctx.systems(dataset)
+    table, results = benchmark.pedantic(
+        experiment_fig4,
+        args=(ctx, dataset),
+        kwargs=dict(ks=KS, max_queries=BENCH_MAX_QUERIES),
+        rounds=1,
+        iterations=1,
+    )
+    return table, {name: rr.pr(ks=KS) for name, rr in results.items()}
 
 
 def _assert_nextia_shape(curves):
@@ -44,26 +45,19 @@ def _assert_nextia_shape(curves):
 
 
 @pytest.mark.parametrize("which", ["S", "M"])
-def test_fig4_nextiajd(benchmark, bench_ctx, indexed_s, indexed_m, which, capsys):
-    fixture = indexed_s if which == "S" else indexed_m
-    curves = benchmark.pedantic(_pr_run, args=(fixture,), rounds=1, iterations=1)
+def test_fig4_nextiajd(benchmark, bench_ctx, which, capsys):
+    table, curves = _fig4(benchmark, bench_ctx, which)
     with capsys.disabled():
         print()
-        print(T.format_markdown(T.pr_table(curves), f"Fig 4 — testbed{which}"))
+        print(T.format_markdown(table, f"Fig 4 — testbed{which}"))
     _assert_nextia_shape(curves)
 
 
 def test_fig4_spider(benchmark, bench_ctx, capsys):
-    spec, wh = bench_ctx.corpus("spider")
-    systems = bench_ctx.systems()
-    for s in systems.values():
-        s.build_index(wh)
-    curves = benchmark.pedantic(
-        _pr_run, args=((spec, wh, systems),), rounds=1, iterations=1
-    )
+    table, curves = _fig4(benchmark, bench_ctx, "spider")
     with capsys.disabled():
         print()
-        print(T.format_markdown(T.pr_table(curves), "Fig 4 — Spider"))
+        print(T.format_markdown(table, "Fig 4 — Spider"))
     # §4.3.2 shape.
     assert curves["WarpGate"][3].recall > curves["Aurum"][3].recall + 0.25
     assert curves["WarpGate"][3].recall >= curves["D3L"][3].recall - 0.06

@@ -1,9 +1,10 @@
 """Benchmark + reproduction of Table 2 (end-to-end query response time).
 
-The measurement is the ``table2_runs`` fixture: per (testbed, system),
-the full query loop at k=10 over the bench query subset, against
-pre-built indexes — exactly the paper's measurement — one untimed pass
-then ``TIMED_PASSES`` timed ones. Each cell is the median pass (WarpGate's
+The measurement is :func:`experiment_table2` on the session's context:
+per (testbed, system), the full query loop at k=10 over the bench query
+subset, against pre-built indexes — exactly the paper's measurement —
+one untimed pass then ``TIMED_PASSES`` timed ones, the same passes
+§4.4's full-value rows read. Each cell is the median pass (WarpGate's
 lookup is that pass's); the test prints every cell's min and max next to
 paper vs measured, and asserts the paper's shape:
 
@@ -16,17 +17,22 @@ from __future__ import annotations
 
 import pandas as pd
 
+from benchmarks.conftest import BENCH_MAX_QUERIES
 from repro.eval import tables as T
+from repro.eval.experiments import experiment_table2
 from repro.eval.harness import TIMED_PASSES
 
 
-def test_table2_reproduction(benchmark, table2_runs, capsys):
-    """Assemble and validate the Table 2 rows from the median passes."""
-    median = {
-        ds: {name: passes[TIMED_PASSES // 2] for name, passes in by_sys.items()}
-        for ds, by_sys in table2_runs.items()
-    }
-    measured = benchmark.pedantic(T.table2, args=(median,), rounds=1, iterations=1)
+def test_table2_reproduction(benchmark, bench_ctx, capsys):
+    """Measure (or read the session's measurement of) Table 2 and
+    validate its rows."""
+    measured, table2_runs = benchmark.pedantic(
+        experiment_table2,
+        args=(bench_ctx,),
+        kwargs=dict(max_queries=BENCH_MAX_QUERIES),
+        rounds=1,
+        iterations=1,
+    )
     spread = pd.DataFrame(
         [
             (

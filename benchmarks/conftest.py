@@ -1,4 +1,4 @@
-"""Benchmark fixtures: bench-scale corpora and pre-indexed systems.
+"""Benchmark fixtures: the bench-scale experiment context.
 
 Bench scale (see DESIGN.md §4): ``rows_scale`` defaults to 0.005, which
 keeps the paper's ~15x S→M average-row ratio (testbedS ≈ 1k rows/table,
@@ -6,10 +6,9 @@ testbedM ≈ 16k rows/table) while fitting a 4-core local Spark. Override
 with ``REPRO_BENCH_ROWS_SCALE`` / ``REPRO_BENCH_SIZE_SCALE`` /
 ``REPRO_BENCH_MAX_QUERIES``.
 
-Index builds are session fixtures — the paper's Table 2 measures *query*
-time against already-built indexes, so builds are setup, not benchmark
-body. So is Table 2's measurement (:func:`table2_runs`), which §4.4's
-full-value rows read too.
+One context serves the whole session, so each corpus's indexed systems
+and Table 2's timed passes are made once and shared by every benchmark
+(see :class:`repro.eval.experiments.ExperimentContext`).
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ import os
 import pytest
 
 from repro.eval.experiments import ExperimentContext
-from repro.eval.harness import timed_runs
 
 BENCH_ROWS_SCALE = float(os.environ.get("REPRO_BENCH_ROWS_SCALE", "0.005"))
 BENCH_SIZE_SCALE = float(os.environ.get("REPRO_BENCH_SIZE_SCALE", "1.0"))
@@ -30,36 +28,3 @@ def bench_ctx(spark):
     return ExperimentContext(
         spark=spark, rows_scale=BENCH_ROWS_SCALE, size_scale=BENCH_SIZE_SCALE
     )
-
-
-def _indexed_systems(ctx, dataset):
-    spec, wh = ctx.corpus(dataset)
-    systems = ctx.systems()
-    for s in systems.values():
-        s.build_index(wh)
-    return spec, wh, systems
-
-
-@pytest.fixture(scope="session")
-def indexed_s(bench_ctx):
-    """(spec, warehouse, indexed systems) for testbedS at bench scale."""
-    return _indexed_systems(bench_ctx, "S")
-
-
-@pytest.fixture(scope="session")
-def indexed_m(bench_ctx):
-    """(spec, warehouse, indexed systems) for testbedM at bench scale."""
-    return _indexed_systems(bench_ctx, "M")
-
-
-@pytest.fixture(scope="session")
-def table2_runs(indexed_s, indexed_m):
-    """testbed → system → the :func:`timed_runs` passes (sorted by e2e
-    time) over the bench queries, each system's passes back to back."""
-    return {
-        ds: {
-            name: timed_runs(system, name, spec.queries, k=10, max_queries=BENCH_MAX_QUERIES)
-            for name, system in systems.items()
-        }
-        for ds, (spec, _, systems) in (("testbedS", indexed_s), ("testbedM", indexed_m))
-    }

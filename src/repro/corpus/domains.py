@@ -170,11 +170,6 @@ def format_values(values: list[str], fmt: str) -> list[str]:
     return [f(v) for v in values]
 
 
-def normalized_equal(a: str, b: str) -> bool:
-    """True when two formatted renderings denote the same entity."""
-    return normalize(a) == normalize(b)
-
-
 @dataclass
 class DomainUniverse:
     """The full set of domains available to corpus generators.

@@ -118,11 +118,11 @@ class CorpusSpec:
     @cached_property
     def columns(self) -> dict[str, tuple[TableSpec, ColumnSpec]]:
         """``col_id`` → its table and column: the one place a col_id is
-        resolved (a name may hold dots, quotes or backticks)."""
-        return {t.col_id(c.name): (t, c) for t in self.tables for c in t.columns}
-
-    def column_ids(self) -> list[str]:
-        return list(self.columns)
+        resolved (a name may hold dots, quotes or backticks). Two columns
+        whose dotted names join to one col_id raise ``ValueError``."""
+        pairs = [(t.col_id(c.name), (t, c)) for t in self.tables for c in t.columns]
+        require_unique_col_ids([cid for cid, _ in pairs])
+        return dict(pairs)
 
     def column_spec(self, col_id: str) -> ColumnSpec:
         return self.columns[col_id][1]
@@ -257,10 +257,6 @@ class Warehouse:
                 pa.Table.from_pandas(pdf, preserve_index=False)
             )
 
-    @property
-    def tables(self) -> dict[str, DataFrame]:
-        return dict(self._dfs)
-
     def table_df(self, table_id: str) -> DataFrame:
         return self._dfs[table_id]
 
@@ -284,14 +280,6 @@ class Warehouse:
             for cid, (t, c) in self.spec.columns.items()
             if include_columns is None or cid in include_columns
         ])
-
-    def entity_column_ids(self) -> list[str]:
-        return [
-            t.col_id(c.name)
-            for t in self.spec.tables
-            for c in t.columns
-            if c.kind == "entity"
-        ]
 
 
 def _cell_strings(values) -> list[str | None]:

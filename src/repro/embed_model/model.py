@@ -103,9 +103,6 @@ class EmbeddingModel:
             acc /= nrm
         return acc.astype(np.float32)
 
-    def embed_value(self, value) -> np.ndarray | None:
-        return self.embed_tokens(tokenize(value))
-
     def embed_values(self, values: list) -> np.ndarray | None:
         """Column embedding: mean over *distinct* values' token bags.
 

@@ -28,7 +28,7 @@ from repro.corpus.tablegen import CorpusSpec, Warehouse
 from repro.embed_model.bertlike import BertLikeModel
 from repro.embed_model.model import EmbeddingModel
 from repro.embed_model.pretrained import pretrained_model
-from repro.eval.harness import TIMED_PASSES, RunResult, run_all_systems, timed_runs
+from repro.eval.harness import TIMED_PASSES, RunResult, run_queries, timed_runs
 from repro.eval import tables as T
 
 # Bench-scale defaults (see module docstring / DESIGN.md §4).
@@ -39,13 +39,19 @@ DEFAULT_KS = [1, 3, 5, 10]
 
 @dataclass
 class ExperimentContext:
-    """Shared, lazily-built corpora + model for a batch of experiments."""
+    """What a batch of experiments shares, each built lazily once: the
+    model, the corpora, each corpus's indexed systems and Table 2's timed
+    passes."""
 
     spark: SparkSession
     rows_scale: float = BENCH_ROWS_SCALE
     size_scale: float = BENCH_SIZE_SCALE
     _model: EmbeddingModel | None = None
     _corpora: dict[str, tuple[CorpusSpec, Warehouse]] = field(default_factory=dict)
+    _systems: dict[str, dict[str, object]] = field(default_factory=dict, init=False)
+    _passes: dict[tuple[str, int | None], dict[str, list[RunResult]]] = field(
+        default_factory=dict, init=False
+    )
 
     @property
     def model(self) -> EmbeddingModel:
@@ -78,12 +84,32 @@ class ExperimentContext:
                 raise KeyError(name)
         return self._corpora[name]
 
-    def systems(self) -> dict[str, object]:
-        return {
-            "WarpGate": WarpGate(model=self.model),
-            "Aurum": Aurum(),
-            "D3L": D3L(model=self.model),
-        }
+    def systems(self, name: str) -> dict[str, object]:
+        """WarpGate, Aurum and D3L, each indexed over corpus ``name`` once."""
+        if name not in self._systems:
+            _, wh = self.corpus(name)
+            systems = {
+                "WarpGate": WarpGate(model=self.model),
+                "Aurum": Aurum(),
+                "D3L": D3L(model=self.model),
+            }
+            for s in systems.values():
+                s.build_index(wh)
+            self._systems[name] = systems
+        return self._systems[name]
+
+    def timed_passes(self, name: str, max_queries: int | None) -> dict[str, list[RunResult]]:
+        """System → its :func:`timed_runs` passes over corpus ``name``'s
+        first ``max_queries`` queries, the three systems back to back;
+        Table 2 and §4.4's full-value rows both read this one measurement."""
+        key = (name, max_queries)
+        if key not in self._passes:
+            spec, _ = self.corpus(name)
+            self._passes[key] = {
+                sys_name: timed_runs(system, sys_name, spec.queries, max_queries=max_queries)
+                for sys_name, system in self.systems(name).items()
+            }
+        return self._passes[key]
 
 
 def experiment_table1(ctx: ExperimentContext) -> pd.DataFrame:
@@ -105,13 +131,13 @@ def experiment_fig4(
     *,
     ks: list[int] | None = None,
     max_queries: int | None = None,
-    k: int = 10,
 ) -> tuple[pd.DataFrame, dict[str, RunResult]]:
     """Fig. 4 (as a table): P@k/R@k of all three systems on one corpus."""
-    spec, wh = ctx.corpus(dataset)
-    results = run_all_systems(
-        ctx.systems(), wh, spec, k=k, max_queries=max_queries
-    )
+    spec, _ = ctx.corpus(dataset)
+    results = {
+        name: run_queries(system, name, spec.queries, max_queries=max_queries)
+        for name, system in ctx.systems(dataset).items()
+    }
     # P/R over the queries actually run (never-run queries must not
     # count as misses when max_queries truncates the set).
     points = {name: r.pr(ks=ks or DEFAULT_KS) for name, r in results.items()}
@@ -123,18 +149,16 @@ def experiment_table2(
     *,
     datasets: tuple[str, ...] = ("S", "M"),
     max_queries: int | None = 30,
-) -> tuple[pd.DataFrame, dict[str, dict[str, RunResult]]]:
+) -> tuple[pd.DataFrame, dict[str, dict[str, list[RunResult]]]]:
     """Table 2: end-to-end query response time (k=10), full values, from
-    each system's median pass."""
-    per_ds: dict[str, dict[str, RunResult]] = {}
-    for ds in datasets:
-        spec, wh = ctx.corpus(ds)
-        per_ds[f"testbed{ds}"] = runs = {}
-        for name, system in ctx.systems().items():
-            system.build_index(wh)
-            passes = timed_runs(system, name, spec.queries, max_queries=max_queries)
-            runs[name] = passes[TIMED_PASSES // 2]
-    return T.table2(per_ds), per_ds
+    each system's median pass. Also returns testbed → system → every
+    pass, sorted by e2e time."""
+    passes = {f"testbed{ds}": ctx.timed_passes(ds, max_queries) for ds in datasets}
+    median = {
+        ds: {name: runs[TIMED_PASSES // 2] for name, runs in by_sys.items()}
+        for ds, by_sys in passes.items()
+    }
+    return T.table2(median), passes
 
 
 def experiment_sample_efficiency(
@@ -145,16 +169,19 @@ def experiment_sample_efficiency(
     max_queries: int | None = 30,
     include_bertlike: bool = False,
     bertlike_samples: tuple[int, ...] = (100,),
-    full_runs: dict[str, RunResult] | None = None,
 ) -> pd.DataFrame:
     """§4.4: WarpGate effectiveness/efficiency across sample sizes, each
-    row from its median pass.
+    row from its median pass; the full-value row is Table 2's WarpGate
+    cell (:meth:`ExperimentContext.timed_passes`).
 
     Optionally repeats selected sample sizes with the BERT-like model to
     reproduce the quality-parity / ~10x-inference-cost finding.
-    ``full_runs`` supplies the full-value rows per dataset already
-    measured (benchmarks read Table 2's).
     """
+    # Table 2's passes first, so no sampled build precedes their timing.
+    full = {
+        ds: ctx.timed_passes(ds, max_queries)["WarpGate"][TIMED_PASSES // 2]
+        for ds in datasets if None in sample_sizes
+    }
     rows: list[tuple[str, str, float, float, float, float]] = []
     for ds in datasets:
         spec, wh = ctx.corpus(ds)
@@ -163,8 +190,8 @@ def experiment_sample_efficiency(
             bert = BertLikeModel(base=ctx.model)
             runs += [(bert, "WarpGate-BERT", s, f"bert:{s}") for s in bertlike_samples]
         for model, name, sample, label in runs:
-            if label == "full" and ds in (full_runs or {}):
-                rr = full_runs[ds]
+            if label == "full":
+                rr = full[ds]
             else:
                 wg = WarpGate(model=model, config=WarpGateConfig(sample=sample))
                 wg.build_index(wh)

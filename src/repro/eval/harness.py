@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.corpus.tablegen import CorpusSpec, QuerySpec, Warehouse
+from repro.corpus.tablegen import QuerySpec
 from repro.eval.metrics import PRPoint, pr_curve
 
 TIMED_PASSES = 3
@@ -40,16 +40,10 @@ class RunResult:
     def avg_e2e_s(self) -> float:
         return self.avg_load_s + self.avg_lookup_s
 
-    def pr(
-        self, queries: list[QuerySpec] | None = None, ks: list[int] | None = None
-    ) -> list[PRPoint]:
-        """P/R@k over the queries this run actually executed.
-
-        Passing a superset of ``queries_run`` would count never-run
-        queries as misses, so the default (and the safe choice) is the
-        run's own query list.
-        """
-        return pr_curve(self.rankings, queries or self.queries_run, ks or [1, 3, 5, 10])
+    def pr(self, ks: list[int] | None = None) -> list[PRPoint]:
+        """P/R@k over the queries this run actually executed, so a
+        never-run query does not count as a miss."""
+        return pr_curve(self.rankings, self.queries_run, ks or [1, 3, 5, 10])
 
 
 def run_queries(
@@ -80,20 +74,3 @@ def timed_runs(system, name: str, queries: list[QuerySpec], **kw) -> list[RunRes
     runs = [run_queries(system, name, queries, **kw) for _ in range(TIMED_PASSES)]
     return sorted(runs, key=lambda r: r.avg_e2e_s)
 
-
-def run_all_systems(
-    systems: dict[str, object],
-    warehouse: Warehouse,
-    spec: CorpusSpec,
-    *,
-    k: int = 10,
-    max_queries: int | None = None,
-) -> dict[str, RunResult]:
-    """Index each system over the warehouse, then run the query set."""
-    out: dict[str, RunResult] = {}
-    for name, sys_ in systems.items():
-        sys_.build_index(warehouse)
-        out[name] = run_queries(
-            sys_, name, spec.queries, k=k, max_queries=max_queries
-        )
-    return out

@@ -84,7 +84,7 @@ def test_sampling_stability_of_embeddings(spark, xs_corpus, model):
     from repro.embed_model.model import cosine
 
     spec, wh = xs_corpus
-    ent = [c for c in wh.entity_column_ids()[:5]]
+    ent = [c for c, (_, col) in spec.columns.items() if col.kind == "entity"][:5]
     for cid in ent:
         full = model.embed_values(load_column(wh, cid))
         samp = model.embed_values(load_column(wh, cid, sample=50))

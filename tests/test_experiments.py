@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.aurum import Aurum
+from repro.baselines.d3l import D3L
+from repro.core.warpgate import WarpGate
 from repro.eval.experiments import (
     ExperimentContext,
     experiment_fig4,
@@ -10,6 +13,7 @@ from repro.eval.experiments import (
     experiment_sigma_shape,
     experiment_table2,
 )
+from repro.eval.harness import TIMED_PASSES, RunResult
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +72,36 @@ def test_sample_efficiency_bertlike(ctx):
         bertlike_samples=(10,),
     )
     assert "bert:10" in set(df["sample"])
+
+
+def test_drivers_share_indexed_systems_and_table2_passes(spark, monkeypatch):
+    """Fig 4, Table 2 and §4.4 on one context index each system once, and
+    §4.4's full row is read off Table 2's WarpGate median pass."""
+    built, pr_of = [], []
+    for cls in (WarpGate, Aurum, D3L):
+        def build(self, wh, _build=cls.build_index):
+            built.append(self)
+            return _build(self, wh)
+        monkeypatch.setattr(cls, "build_index", build)
+    pr = RunResult.pr
+    monkeypatch.setattr(RunResult, "pr", lambda self, ks=None: pr_of.append(self) or pr(self, ks))
+
+    ctx = ExperimentContext(spark=spark, rows_scale=0.001, size_scale=0.12)
+    experiment_fig4(ctx, "XS", max_queries=4)
+    systems = ctx.systems("XS")
+    _, passes = experiment_table2(ctx, datasets=("XS",), max_queries=4)
+    pr_of.clear()
+    df = experiment_sample_efficiency(
+        ctx, datasets=("XS",), sample_sizes=(10, None), max_queries=4
+    )
+
+    assert ctx.systems("XS") is systems
+    shared = {id(s) for s in systems.values()}
+    assert [s for s in built if id(s) in shared] == list(systems.values())
+    assert [s.config.sample for s in built if id(s) not in shared] == [10]
+    median = passes["testbedXS"]["WarpGate"][TIMED_PASSES // 2]
+    assert any(rr is median for rr in pr_of)
+    assert df.set_index("sample").loc["full", "e2e_s"] == round(median.avg_e2e_s, 4)
 
 
 def test_sigma_shape_driver(ctx):

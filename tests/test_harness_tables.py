@@ -21,7 +21,7 @@ def test_run_queries_collects_everything(warpgate_xs, xs_corpus):
 def test_run_result_pr_delegates(xs_corpus, warpgate_xs):
     spec, _ = xs_corpus
     rr = run_queries(warpgate_xs, "WarpGate", spec.queries, k=10)
-    pts = rr.pr(spec.queries, [1, 10])
+    pts = rr.pr(ks=[1, 10])
     assert pts[0].k == 1 and pts[1].k == 10
     assert 0 <= pts[0].precision <= 1
 

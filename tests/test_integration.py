@@ -11,19 +11,20 @@ import pytest
 from repro.baselines.aurum import Aurum
 from repro.baselines.d3l import D3L
 from repro.core.warpgate import WarpGate
-from repro.eval.harness import run_all_systems, run_queries
+from repro.eval.harness import run_queries
 from repro.eval.metrics import pr_curve
 
 
 @pytest.fixture(scope="module")
 def spider_results(model, spider_corpus):
     spec, wh = spider_corpus
-    systems = {
-        "WarpGate": WarpGate(model=model),
-        "Aurum": Aurum(),
-        "D3L": D3L(model=model),
-    }
-    return spec, run_all_systems(systems, wh, spec, k=10)
+    results = {}
+    for name, system in (
+        ("WarpGate", WarpGate(model=model)), ("Aurum", Aurum()), ("D3L", D3L(model=model))
+    ):
+        system.build_index(wh)
+        results[name] = run_queries(system, name, spec.queries, k=10)
+    return spec, results
 
 
 def _recall_at(results, queries, k):

@@ -3,8 +3,7 @@
 Jobs own their SparkSession lifecycle (they are spark-submit programs),
 so these tests exercise parsing/wiring without launching a second
 session: they assert the modules import, expose a ``main``, and document
-their flags. One tiny end-to-end run covers the shared `_common` path
-through the experiment drivers (reusing the session fixture's context).
+their flags. The drivers they call are tested in ``test_experiments``.
 """
 from __future__ import annotations
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.embed_model import model as model_module
 from repro.embed_model.model import EmbeddingModel, _ngram_vector, cosine
-from repro.embed_model.tokenizer import char_ngrams
+from repro.embed_model.tokenizer import char_ngrams, tokenize
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +60,8 @@ def test_embed_tokens_empty(tiny_model):
 
 
 def test_embed_value_none(tiny_model):
-    assert tiny_model.embed_value(None) is None
-    assert tiny_model.embed_value("") is None
+    assert tiny_model.embed_tokens(tokenize(None)) is None
+    assert tiny_model.embed_tokens(tokenize("")) is None
 
 
 def test_embed_values_dedups(tiny_model):

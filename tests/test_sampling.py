@@ -8,8 +8,8 @@ from repro.core.sampling import load_column, sample_column_df
 
 @pytest.fixture(scope="module")
 def col_df(spark, xs_corpus):
-    _, wh = xs_corpus
-    cid = wh.entity_column_ids()[0]
+    spec, wh = xs_corpus
+    cid = next(c for c, (_, col) in spec.columns.items() if col.kind == "entity")
     db, table, col = cid.split(".", 2)
     return wh.table_df(f"{db}.{table}").select(col), wh, cid
 

@@ -24,7 +24,7 @@ def test_shape_matches_paper(spec):
 
 
 def test_narrative_columns_exist(spec):
-    ids = set(spec.column_ids())
+    ids = set(spec.columns)
     for cid in (
         "salesforce.account.name",
         "salesforce.lead.company",

@@ -143,7 +143,23 @@ def test_spec_properties(small_spec):
     assert small_spec.n_tables == 2
     assert small_spec.n_columns == 8
     assert small_spec.avg_rows == 90.0
-    assert len(small_spec.column_ids()) == 8
+    assert len(small_spec.columns) == 8
+
+
+def test_dotted_names_joining_to_one_col_id_raise():
+    """``a.b``/``c`` and ``a``/``b.c`` both join to ``a.b.c``: resolving
+    the spec's columns names the clash instead of keeping the last one."""
+    cols = (ColumnSpec(name="x", kind="id"),)
+    spec = CorpusSpec(
+        name="clash",
+        tables=[
+            TableSpec(db="a.b", name="c", n_rows=5, columns=cols),
+            TableSpec(db="a", name="b.c", n_rows=5, columns=cols),
+        ],
+    )
+    assert spec.n_columns == 2
+    with pytest.raises(ValueError, match=r"a\.b\.c\.x"):
+        spec.columns
 
 
 def test_column_spec_lookup(small_spec):
@@ -154,8 +170,8 @@ def test_column_spec_lookup(small_spec):
 
 
 def test_warehouse_tables_registered(small_wh):
-    assert set(small_wh.tables) == {"dbA.t0", "dbB.t1"}
     assert small_wh.table_df("dbA.t0").count() == 120
+    assert small_wh.table_df("dbB.t1").count() == 60
 
 
 def test_column_values_full(small_wh):
@@ -202,10 +218,6 @@ def test_cells_long_df_of_no_columns_is_empty(small_wh):
 def test_cells_values_stringified(small_wh):
     row = small_wh.cells_long_df().first()
     assert isinstance(row["value"], str)
-
-
-def test_entity_column_ids(small_wh):
-    assert small_wh.entity_column_ids() == ["dbA.t0.ent", "dbB.t1.ent"]
 
 
 def test_warehouse_deterministic(spark, small_spec, uni):
@@ -260,7 +272,7 @@ def test_cells_are_the_strings_load_column_returns(xs_corpus):
     for sample in (None, 10):
         cells = wh.cells_long_df(sample=sample).toPandas().dropna()
         got = cells.groupby("col_id")["value"].apply(sorted).to_dict()
-        for cid in spec.column_ids():
+        for cid in spec.columns:
             loaded = load_column(wh, cid, sample=sample)
             want = sorted(str(v) for v in loaded if v is not None and v == v)
             assert got.get(cid, []) == want, (cid, sample)

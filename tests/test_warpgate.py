@@ -134,7 +134,7 @@ def _assert_top10_lists_match_digest(system, name, spec) -> None:
     expected = json.loads(
         (Path(__file__).parent / "xs_top10_digest.json").read_text()
     )[name]
-    got = {c: _top10_digest(system.query(c, k=10)[0]) for c in spec.column_ids()}
+    got = {c: _top10_digest(system.query(c, k=10)[0]) for c in spec.columns}
     assert set(got) == set(expected)
     changed = sorted(c for c in got if got[c] != expected[c])
     assert not changed, f"{len(changed)} {name} top-10 lists changed, e.g. {changed[:5]}"
