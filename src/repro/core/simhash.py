@@ -12,7 +12,13 @@ similarity threshold (0.7): we pick ``r`` so the band S-curve midpoint
 probability.
 
 A band's ``r`` bits pack into one unsigned integer (``r`` ≤ 32), so the
-probe is one integer compare per band and row. The re-rank reads only
+probe is one integer compare per band and row. The re-rank scores the
+candidates by the cheaper of two kernels. Below
+:data:`FULL_PRODUCT_FRACTION` of the index it gathers the candidate rows
+and multiplies them by the query; at or above it, one product over the
+whole matrix beats the gather's copy, and the candidates' scores are
+read out of it. Both give bit-identical scores on two or more rows, so
+a single candidate always takes the gather. The re-rank then reads only
 the top ``k + |exclude|`` scores: a partition finds the score at that
 place, every candidate scoring at least as much (the whole tie run at
 the cut-off included) is stable-sorted, and nothing else is sorted.
@@ -20,7 +26,7 @@ the cut-off included) is stable-sorted, and nothing else is sorted.
 CDW discovery has stringent completeness requirements (§1), so when the
 banded probe yields fewer than ``k + |exclude|`` candidates the index
 falls back to an exhaustive scan — recall is never silently truncated by
-the hash.
+the hash. The scan scores every row with the full product, in place.
 
 The index is a small in-memory, per-warehouse structure (thousands of
 columns), built on the driver: the embeddings are collected once, signed
@@ -41,6 +47,17 @@ from pyspark.sql import DataFrame
 
 from repro.core.embedding import collect_embeddings
 from repro.corpus.tablegen import require_unique_col_ids
+
+
+# The candidate fraction of the index from which the re-rank scores by
+# one product over the whole matrix instead of a gather. Measured on a
+# 4-core host (OpenBLAS sgemv on 2 threads, d = 64): the two kernels
+# cross at a fraction of 0.15-0.175 for every C from 2,553 to 200k; at
+# 50k rows the full product takes 0.35-0.40 ms, a gather of 15 % of the
+# rows the same (EXPERIMENTS.md, "Re-rank kernels"). The crossover is
+# the host's: with one BLAS thread the 50k product takes 0.93-0.97 ms
+# and the kernels cross at 0.35-0.4.
+FULL_PRODUCT_FRACTION = 0.15
 
 
 def bit_agreement_probability(cos_sim: float) -> float:
@@ -100,6 +117,14 @@ def signatures_df(embeddings: DataFrame, planes: np.ndarray) -> DataFrame:
 class SearchResult:
     col_id: str
     score: float
+
+
+def full_product_pays(n_cand: int, n_rows: int) -> bool:
+    """Whether the re-rank scores ``n_cand`` of ``n_rows`` candidates by
+    one product over the whole matrix rather than by a gather. A single
+    candidate never does: a one-row product can differ from the row's
+    score in the full product in the last bit."""
+    return n_cand > 1 and n_cand >= FULL_PRODUCT_FRACTION * n_rows
 
 
 def check_k(k: int) -> None:
@@ -208,9 +233,15 @@ class SimHashIndex:
         v = v / nv
         cand = self.candidates(v)
         m = k + len(exclude or ())
+        n = len(self.ids)
         if len(cand) < m:
-            cand = np.arange(len(self.ids))
-        scores = np.take(self.matrix, cand, axis=0) @ v
+            cand = np.arange(n)
+        if full_product_pays(len(cand), n):
+            scores = self.matrix @ v
+            if len(cand) < n:
+                scores = scores[cand]
+        else:
+            scores = np.take(self.matrix, cand, axis=0) @ v
         # Only the top m of the stable order by -score can be returned.
         # Keep every score >= the m-th largest, so a tie run at the
         # cut-off stays whole; ``top`` ascends, so ties stay in col_id order.

@@ -1,11 +1,15 @@
 """Tests for the SimHash LSH index (theory + exactness vs brute force)."""
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.simhash import (
+    FULL_PRODUCT_FRACTION,
     SimHashIndex,
     band_params_for_threshold,
     bit_agreement_probability,
@@ -273,6 +277,31 @@ def test_exhaustive_topk_matches_duckdb_oracle(spark):
         ranks = [(i + 1, r.col_id) for i, r in enumerate(idx.query(q, 50))]
         got = spark.createDataFrame(ranks, "rank long, col_id string")
         assert_equivalent(got, sql, m=m, q=pd.DataFrame({"vec": [q.tolist()]}))
+    # A probe that finds nothing forces the fallback at every k, k > C too.
+    idx.candidates = lambda v: np.empty(0, dtype=np.intp)
+    q = mat[12] / np.linalg.norm(mat[12])
+    for k in (5, 60):
+        ranks = [(i + 1, r.col_id) for i, r in enumerate(idx.query(q, k))]
+        got = spark.createDataFrame(ranks, "rank long, col_id string")
+        top = f"SELECT * FROM ({sql}) WHERE rank <= {k}"
+        assert_equivalent(got, top, m=m, q=pd.DataFrame({"vec": [q.tolist()]}))
+
+
+def test_exhaustive_fallback_copies_no_rows():
+    """The fallback scores every row with one product over the matrix in
+    place: a fallback query allocates far less than the matrix."""
+    mat = np.random.default_rng(19).standard_normal((20_000, 64)).astype(np.float32)
+    idx = _index([f"c{i:05d}" for i in range(len(mat))], mat)
+    idx.candidates = lambda v: np.empty(0, dtype=np.intp)
+    idx.query(mat[0], 10)
+    tracemalloc.start()
+    try:
+        got = idx.query(mat[0], 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0].col_id == "c00000"
+    assert peak < idx.matrix.nbytes / 4
 
 
 def test_build_from_df_runs_one_spark_job(spark):
@@ -334,15 +363,20 @@ def test_non_finite_vectors_raise(random_index, bad):
 
 
 def _stable_sort_reference(idx, vec, k, exclude=frozenset()):
-    """``query``'s answer from a full stable sort of the same candidates."""
+    """``query``'s answer from gathering the same candidates and sorting
+    all of their scores stably."""
     v = vec.astype(np.float32) / np.linalg.norm(vec.astype(np.float32))
     cand = idx.candidates(v)
     if len(cand) < k + len(exclude):
         cand = np.arange(len(idx.ids))
-    scores = idx.matrix[cand] @ v
-    order = np.argsort(-scores, kind="stable")
-    ranked = [(idx.ids[cand[i]], float(scores[i])) for i in order]
-    return [r for r in ranked if r[0] not in exclude][:k]
+    scores = np.take(idx.matrix, cand, axis=0) @ v
+    out = []
+    for i in np.argsort(-scores, kind="stable"):
+        if len(out) == k:
+            break
+        if idx.ids[cand[i]] not in exclude:
+            out.append((idx.ids[cand[i]], float(scores[i])))
+    return out
 
 
 def test_partial_selection_matches_full_stable_sort():
@@ -371,3 +405,48 @@ def test_partial_selection_matches_full_stable_sort():
         for k in [*range(1, 16), n - 1, n, n + 5]:
             got = [(r.col_id, r.score) for r in idx.query(q, k, exclude=set(exclude))]
             assert got == _stable_sort_reference(idx, q, k, exclude), (k, exclude)
+
+
+@pytest.mark.parametrize("dim", [32, 64])
+@pytest.mark.parametrize("n", [3, 7, 200, 2_553, 20_000])
+def test_rerank_kernels_match_the_gathered_ranking(n, dim):
+    """Whichever kernel scores the candidates (a gather, or one product
+    over the whole matrix from ``FULL_PRODUCT_FRACTION`` of the rows on),
+    ``query`` returns the gathered, fully stable-sorted ranking of the
+    same candidates, ids and bit-identical scores. Candidate counts: 0,
+    1, 2, either side of the crossover and C; a tie run straddles the
+    cut-off; ``exclude`` holds a near, a tied and an absent id."""
+    g = np.random.default_rng(n * dim)
+    q = g.standard_normal(dim).astype(np.float32)
+    mat = g.standard_normal((n, dim)).astype(np.float32)
+    n_near = max(1, min(3, n // 4))
+    n_tie = min(5, n - n_near)
+    planted = g.permutation(n)[: n_near + n_tie]
+    near, tie = planted[:n_near], planted[n_near:]
+    mat[near] = q + 0.05 * g.standard_normal((n_near, dim))
+    mat[tie] = q + 0.3 * g.standard_normal(dim)  # one score for the run
+    ids = [f"c{i:05d}" for i in range(n)]
+    idx = _index(ids, mat)
+    s = idx.matrix @ (q / np.linalg.norm(q))
+    rest = np.max(np.delete(s, planted), initial=-1.0)
+    assert len(set(s[tie])) == 1 and s[near].min() > s[tie[0]] > rest
+    pool = np.concatenate([planted, g.permutation(np.setdiff1d(np.arange(n), planted))])
+    cross = math.ceil(FULL_PRODUCT_FRACTION * n)
+    counts = sorted({c for c in (0, 1, 2, cross - 1, cross, cross + 1, n) if 0 <= c <= n})
+    ks = sorted({1, 2, n_near + 1, n_near + 2, n - 1, n, n + 3} - {0})
+    excludes = (frozenset(), frozenset({ids[near[0]], ids[tie[-1]], "absent"}))
+    for c in counts:
+        cand = np.sort(pool[:c])
+        idx.candidates = lambda v, cand=cand: cand
+        for k in ks:
+            for exclude in excludes:
+                got = [(r.col_id, r.score) for r in idx.query(q, k, exclude=set(exclude))]
+                assert got == _stable_sort_reference(idx, q, k, exclude), (c, k, exclude)
+    # One candidate: the scores of a one-row product and of the full
+    # product can differ in the last bit, so many rows and queries.
+    for row in g.choice(n, min(n, 20), replace=False):
+        cand = np.array([row])
+        idx.candidates = lambda v, cand=cand: cand
+        v = g.standard_normal(dim).astype(np.float32)
+        got = [(r.col_id, r.score) for r in idx.query(v, 1)]
+        assert got == _stable_sort_reference(idx, v, 1), row
