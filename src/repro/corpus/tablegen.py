@@ -6,10 +6,10 @@ materialized corpus is exposed as a :class:`Warehouse`: one Spark
 DataFrame per table, made from an Arrow table of its rows — the stand-in
 for a cloud data warehouse. All discovery systems read columns *through*
 the warehouse (:func:`repro.core.sampling.load_column`), so every system
-pays the same "data loading" step (pulling a column out of the
-warehouse; here a plan over driver-held rows that runs no Spark job, so
-it is cheaper than the paper's CDW scan), and row sampling shortens it
-as §3.1.3 describes.
+pays the same "data loading" step, and row sampling shortens it as
+§3.1.3 describes. A load is planned once per ``(column, sample)`` and
+executed on every request; here it executes over driver-held rows and
+runs no Spark job, so it is cheaper than the paper's CDW scan.
 Index builds read the whole corpus as one long ``(col_id, value)``
 frame (:meth:`Warehouse.cells_long_df`) made from the same driver-held
 rows, each column whole in one partition, which all three systems reduce
@@ -41,6 +41,7 @@ import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import StructType
 
+from repro.core.sampling import check_sample
 from repro.corpus.domains import FORMATS, DomainUniverse
 
 # Generic filler vocabulary for free-text columns. Mixing these in keeps
@@ -240,6 +241,13 @@ class Warehouse:
     the pandas frame has and is made faster. Systems read one column
     with :func:`repro.core.sampling.load_column` (through
     :meth:`table_df`) and the whole corpus with :meth:`cells_long_df`.
+
+    ``scans`` holds the planned DataFrame of every distinct column read
+    made so far, keyed ``(col_id, sample, strategy, seed)``: each is
+    planned on its first load and re-executed on every later one. It
+    starts empty, so setting a warehouse up plans no read. Over these
+    ``LocalTableScan`` tables an executed plan holds the pruned column's
+    rows, so the JVM keeps at most one extra copy of each queried column.
     """
 
     def __init__(
@@ -250,6 +258,7 @@ class Warehouse:
         self.universe = universe
         self._dfs: dict[str, DataFrame] = {}
         self._pdfs: dict[str, pd.DataFrame] = {}
+        self.scans: dict[tuple[str, int | None, str, int], DataFrame] = {}
         for t in spec.tables:
             pdf = materialize_table(t, universe, spec.seed)
             self._pdfs[t.table_id] = pdf
@@ -274,7 +283,9 @@ class Warehouse:
         """The :func:`cells_frame` of each column's first ``sample`` rows
         (all of them when ``sample`` is None) in :attr:`CorpusSpec.columns`
         order, the input of every index build. ``include_columns``
-        restricts it to the given col_ids."""
+        restricts it to the given col_ids. A negative ``sample`` raises
+        ``ValueError``."""
+        check_sample(sample)
         return cells_frame(self.spark, [
             (cid, self._pdfs[t.table_id][c.name].iloc[:sample])
             for cid, (t, c) in self.spec.columns.items()

@@ -525,6 +525,8 @@ def test_odd_identifiers_resolve_everywhere(spark, model, uni, db, table, name):
     assert spec.columns[cid][1].name == name
     loaded = load_column(wh, cid)
     assert loaded == wh.table_pdf(f"{db}.{table}")[name].tolist()
+    assert load_column(wh, cid) == loaded
+    assert load_column(wh, f"{db}.{table}.id_0") == load_column(wh, f"{db}.{table}.id_0")
     cells = wh.cells_long_df().toPandas()
     assert sorted(cells.loc[cells["col_id"] == cid, "value"]) == sorted(map(str, loaded))
     d3l = D3L(model=model)
